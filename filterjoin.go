@@ -175,7 +175,10 @@ func (db *DB) Model() cost.Model { return db.eng.model }
 // bypasses, evictions, clears).
 func (db *DB) CacheStats() plancache.Stats { return db.eng.CacheStats() }
 
-// Result is the outcome of running one query.
+// Result is the outcome of running one query. Its Rows may share storage
+// with the engine's tables and with each other — scans, joins and
+// projections pass stored rows on without copying them — so they must
+// not be modified; Clone a row before changing it.
 type Result struct {
 	Columns []string
 	Rows    []value.Row

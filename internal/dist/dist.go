@@ -91,8 +91,7 @@ type FetchMatchesJoin struct {
 	InnerAlias  string
 	Site        int // the remote site holding Table
 
-	innerSch *schema.Schema
-	out      *schema.Schema
+	emit     exec.JoinOutput
 	keyBytes int
 	rowBytes int
 	cur      value.Row
@@ -120,15 +119,17 @@ func NewFetchMatchesJoin(outer Operator, t *storage.Table, ix *storage.HashIndex
 		Residual:    residual,
 		InnerAlias:  innerAlias,
 		Site:        site,
-		innerSch:    is,
-		out:         outer.Schema().Concat(is),
+		emit:        exec.NewJoinOutput(outer.Schema(), is),
 		keyBytes:    keyBytes,
 		rowBytes:    t.Schema().RowWidth(),
 	}
 }
 
 // Schema implements exec.Operator.
-func (j *FetchMatchesJoin) Schema() *schema.Schema { return j.out }
+func (j *FetchMatchesJoin) Schema() *schema.Schema { return j.emit.Schema() }
+
+// Narrow implements exec.Narrower.
+func (j *FetchMatchesJoin) Narrow(need []bool) []int { return j.emit.Narrow(need) }
 
 // Open implements exec.Operator.
 func (j *FetchMatchesJoin) Open(ctx *exec.Context) error {
@@ -175,17 +176,13 @@ func (j *FetchMatchesJoin) Next(ctx *exec.Context) (value.Row, bool, error) {
 		inner := j.Table.Row(j.ids[j.pos])
 		j.pos++
 		ctx.Counter.CPUTuples++
-		joined := j.cur.Concat(inner)
-		if j.Residual != nil {
-			keep, err := expr.EvalBool(j.Residual, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
+		joined, keep, err := j.emit.Match(j.cur, inner, j.Residual, nil)
+		if err != nil {
+			return nil, false, err
 		}
-		return joined, true, nil
+		if keep {
+			return joined, true, nil
+		}
 	}
 }
 

@@ -317,3 +317,45 @@ func TestDistOperatorsUnderChaos(t *testing.T) {
 		prev = *ctx.Counter
 	}
 }
+
+// fullLayout hides a join's exec.Narrower, so a Project built over it
+// keeps the join's full layout: the reference side of the narrowing test.
+type fullLayout struct{ exec.Operator }
+
+// TestFetchMatchesNarrowed checks the emit contract on the remote join:
+// under a Project that reads a column subset, the narrowed join yields
+// the rows and the charges of the full one, with and without a residual.
+func TestFetchMatchesNarrowed(t *testing.T) {
+	outer := table(t, "o", [][]int64{{1, 15}, {2, 0}, {9, 0}, {1, 5}})
+	inner := table(t, "i", [][]int64{{1, 10}, {1, 20}, {2, 20}, {3, 30}})
+	ix, err := inner.CreateIndex("ik", []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// o.v < i.v over (o.k o.v i.k i.v).
+	res := expr.NewCmp(expr.LT, expr.NewCol(1, "o.v"), expr.NewCol(3, "i.v"))
+	for _, r := range []expr.Expr{nil, res} {
+		for _, cols := range [][]int{{3, 0}, {2, 3}, {1}} {
+			run := func(narrow bool) string {
+				fm := NewFetchMatchesJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, r, "i", 1)
+				var j exec.Operator = fm
+				if !narrow {
+					j = fullLayout{j}
+				}
+				p := exec.NewColumnProject(j, cols)
+				if narrow && fm.Schema().Len() == 4 {
+					t.Fatalf("cols %v: join was not narrowed", cols)
+				}
+				ctx := exec.NewContext()
+				rows, err := exec.Drain(ctx, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprint(rows, *ctx.Counter)
+			}
+			if got, want := run(true), run(false); got != want {
+				t.Errorf("residual %v cols %v: narrowed %s, full %s", r, cols, got, want)
+			}
+		}
+	}
+}

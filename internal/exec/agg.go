@@ -38,12 +38,36 @@ type GroupBy struct {
 // NewGroupBy builds a hash aggregation operator. Output column names for
 // aggregates come from each spec's Name (or its String() if empty).
 func NewGroupBy(child Operator, groupIdx []int, aggs []expr.AggSpec) *GroupBy {
+	out := aggSchema(child, groupIdx, aggs)
+	groupIdx, aggs = narrowAggInput(child, groupIdx, aggs)
 	return &GroupBy{
 		Child:    child,
 		GroupIdx: groupIdx,
 		Aggs:     aggs,
-		out:      aggSchema(child, groupIdx, aggs),
+		out:      out,
 	}
+}
+
+// narrowAggInput narrows an aggregation's child to the grouping columns
+// and the aggregate arguments (DESIGN.md §16), returning both remapped
+// onto the rows the child will emit. The arguments are not modified.
+func narrowAggInput(child Operator, groupIdx []int, aggs []expr.AggSpec) ([]int, []expr.AggSpec) {
+	m := narrowChild(child, func(need []bool) bool {
+		for _, a := range aggs {
+			if !expr.MarkCols(a.Arg, need) {
+				return false
+			}
+		}
+		return markIdx(need, groupIdx)
+	})
+	if m == nil {
+		return groupIdx, aggs
+	}
+	as := make([]expr.AggSpec, len(aggs))
+	for i, a := range aggs {
+		as[i] = expr.RemapAgg(a, m)
+	}
+	return remapIdx(groupIdx, m), as
 }
 
 // aggSchema is the output schema shared by both aggregation operators:
@@ -246,11 +270,13 @@ type StreamGroupBy struct {
 
 // NewStreamGroupBy builds a streaming aggregation over grouped input.
 func NewStreamGroupBy(child Operator, groupIdx []int, aggs []expr.AggSpec) *StreamGroupBy {
+	out := aggSchema(child, groupIdx, aggs)
+	groupIdx, aggs = narrowAggInput(child, groupIdx, aggs)
 	return &StreamGroupBy{
 		Child:    child,
 		GroupIdx: groupIdx,
 		Aggs:     aggs,
-		out:      aggSchema(child, groupIdx, aggs),
+		out:      out,
 	}
 }
 

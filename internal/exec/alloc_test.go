@@ -38,9 +38,30 @@ func allocTable(t testing.TB, name string, n int) Operator {
 	return NewTableScan(intTable(t, name, []string{"k", "v"}, rows), "")
 }
 
+// keySetSink feeds every batch of its child into a key set — the loop
+// body of BuildKeySetSized — and passes the batch on, so the key-set
+// build's steady state can be measured per NextBatch.
+type keySetSink struct {
+	Operator
+	ks  *KeySet
+	idx []int
+}
+
+func (s *keySetSink) NextBatch(ctx *Context, dst *Batch, max int) error {
+	if err := FillBatch(ctx, s.Operator, dst, max); err != nil {
+		return err
+	}
+	for _, r := range dst.Rows {
+		ctx.Counter.CPUTuples++
+		s.ks.addFrom(r, s.idx)
+	}
+	return nil
+}
+
 // TestAllocBudget is the allocation regression gate for the kernel
-// paths: a warmed Filter, HashJoin, and GroupBy batch pipeline must not
-// allocate more per steady-state NextBatch than the checked-in budget.
+// paths: a warmed Filter, HashJoin, GroupBy and key-set batch pipeline
+// must not allocate more per steady-state NextBatch than the checked-in
+// budget.
 func TestAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	const tableRows = 200_000
@@ -58,6 +79,20 @@ func TestAllocBudget(t *testing.T) {
 		{"HashJoin", func(t *testing.T) Operator {
 			return NewHashJoin(allocTable(t, "b", 4096), allocTable(t, "p", tableRows),
 				[]int{0}, []int{0}, nil)
+		}},
+		{"HashJoinProbeOnly", func(t *testing.T) Operator {
+			// The consumer reads probe columns only: the join emits the
+			// probe rows themselves and the identity Project passes them
+			// on, so a steady-state batch allocates nothing.
+			j := NewHashJoinProbeFirst(allocTable(t, "b", 4096), allocTable(t, "p", tableRows),
+				[]int{0}, []int{0}, nil)
+			return NewColumnProject(j, []int{0, 1})
+		}},
+		{"KeySet", func(t *testing.T) Operator {
+			// Every key repeats within the first batch, so the steady
+			// state only encodes and looks up keys.
+			return &keySetSink{Operator: allocTable(t, "k", tableRows),
+				ks: NewKeySetTableSized(1, 0), idx: []int{0}}
 		}},
 		{"GroupBy", func(t *testing.T) Operator {
 			// Distinct keys so the emit phase spans many output batches.
@@ -113,5 +148,35 @@ func TestAllocBudget(t *testing.T) {
 					tc.name, got, want)
 			}
 		})
+	}
+}
+
+// TestBuildKeySetAllocsPerDistinctKey gates BuildKeySetSized itself on
+// both backends: a build over 200k rows with 997 distinct keys allocates
+// in proportion to the distinct keys (one key row each, plus the key
+// string on the map backend), not to the input rows.
+func TestBuildKeySetAllocsPerDistinctKey(t *testing.T) {
+	const distinct = 997
+	tb := allocTable(t, "k", 200_000).(*TableScan).Table
+	for _, kernels := range []bool{false, true} {
+		ctx := NewContext()
+		ctx.Kernels = kernels
+		ctx.BatchSize = DefaultBatchSize
+		var n int
+		got := testing.AllocsPerRun(3, func() {
+			ks, err := BuildKeySetSized(ctx, NewTableScan(tb, ""), []int{0}, distinct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = ks.Len()
+		})
+		if n != distinct {
+			t.Fatalf("kernels=%v: %d keys, want %d", kernels, n, distinct)
+		}
+		t.Logf("kernels=%v: %.0f allocs per build", kernels, got)
+		if got > 3*distinct {
+			t.Errorf("kernels=%v: BuildKeySetSized allocates %.0f per build, want at most %d (3 per distinct key)",
+				kernels, got, 3*distinct)
+		}
 	}
 }

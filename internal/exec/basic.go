@@ -116,12 +116,16 @@ func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 // Close implements Operator.
 func (s *Select) Close(ctx *Context) error { return s.Child.Close(ctx) }
 
-// Project computes output expressions over each child row.
+// Project computes output expressions over each child row. It narrows
+// its child to the columns the expressions read when it is built
+// (DESIGN.md §16), and a projection that is the identity over the
+// child's rows passes them through without copying.
 type Project struct {
 	Child Operator
 	Exprs []expr.Expr
 	Out   *schema.Schema
 	in    Batch // batch-mode scratch for child pulls
+	pass  bool  // Exprs copy every child column in place
 
 	// Kernel-path state (ctx.Kernels): output rows are carved from an
 	// arena instead of allocated per row, and an all-column projection
@@ -131,9 +135,19 @@ type Project struct {
 	arena  value.RowArena
 }
 
-// NewProject builds a projection with an explicit output schema.
+// NewProject builds a projection with an explicit output schema. exprs
+// is bound against child's current layout and is not modified: when the
+// child narrows, the projection keeps a remapped copy.
 func NewProject(child Operator, exprs []expr.Expr, out *schema.Schema) *Project {
-	return &Project{Child: child, Exprs: exprs, Out: out}
+	m := narrowChild(child, func(need []bool) bool { return markExprs(need, exprs) })
+	if m != nil {
+		remapped := make([]expr.Expr, len(exprs))
+		for i, e := range exprs {
+			remapped[i] = expr.Remap(e, m)
+		}
+		exprs = remapped
+	}
+	return &Project{Child: child, Exprs: exprs, Out: out, pass: isIdentity(child, exprs)}
 }
 
 // NewColumnProject projects the child onto the given column indexes.
@@ -143,7 +157,18 @@ func NewColumnProject(child Operator, idx []int) *Project {
 	for i, j := range idx {
 		exprs[i] = expr.NewCol(j, in.Col(j).QualifiedName())
 	}
-	return &Project{Child: child, Exprs: exprs, Out: in.Project(idx)}
+	return NewProject(child, exprs, in.Project(idx))
+}
+
+// isIdentity reports whether exprs reproduce child's rows exactly:
+// output column i is input column i, for every input column.
+func isIdentity(child Operator, exprs []expr.Expr) bool {
+	for i, e := range exprs {
+		if c, ok := e.(expr.Col); !ok || c.Idx != i {
+			return false
+		}
+	}
+	return len(exprs) == child.Schema().Len()
 }
 
 // Schema implements Operator.
@@ -169,10 +194,14 @@ func (p *Project) Open(ctx *Context) error {
 	return p.Child.Open(ctx)
 }
 
-// evalRow computes one output row, arena-backed on the kernel path. The
-// all-column shape copies values directly; Col.Eval's range check is
-// preserved verbatim.
+// evalRow computes one output row, arena-backed on the kernel path. An
+// identity projection returns the child's row itself; the all-column
+// shape copies values directly; Col.Eval's range check is preserved
+// verbatim.
 func (p *Project) evalRow(r value.Row) (value.Row, error) {
+	if p.pass {
+		return r, nil
+	}
 	if p.useK && p.colIdx != nil {
 		inRange := true
 		for _, j := range p.colIdx {

@@ -60,8 +60,13 @@ func BuildKeySet(ctx *Context, op Operator, keyIdx []int) (*KeySet, error) {
 
 // BuildKeySetSized is BuildKeySet with a distinct-key-count hint from the
 // optimizer's cardinality estimate (0 = unknown); the hint pre-sizes the
-// set's hash table and row buffer and has no effect on the result.
+// set's hash table and row buffer and has no effect on the result. The
+// build reads only the key columns, so it narrows op to them first
+// (DESIGN.md §16); op must not have been opened.
 func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySet, error) {
+	if m := narrowChild(op, func(need []bool) bool { return markIdx(need, keyIdx) }); m != nil {
+		keyIdx = remapIdx(keyIdx, m)
+	}
 	var ks *KeySet
 	if ctx.Kernels {
 		ks = NewKeySetTableSized(len(keyIdx), hint)
@@ -73,7 +78,7 @@ func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySe
 	}
 	err := forEachInput(ctx, op, func(r value.Row) error {
 		ctx.Counter.CPUTuples++
-		ks.Add(r.Project(keyIdx))
+		ks.addFrom(r, keyIdx)
 		return nil
 	})
 	if err != nil {
@@ -97,6 +102,26 @@ func (s *KeySet) Add(key value.Row) {
 	}
 	s.keys[k] = true
 	s.rows = append(s.rows, key)
+}
+
+// addFrom inserts the projection of r onto keyIdx. The key is encoded
+// straight from r into the set's scratch buffer — the bytes equal those
+// of r.Project(keyIdx).AppendFullKey — and the key row is projected only
+// when the key is new, so a duplicate costs no allocation on either
+// backend (a map lookup through string(buf) does not copy).
+func (s *KeySet) addFrom(r value.Row, keyIdx []int) {
+	s.keyBuf = r.AppendKey(s.keyBuf[:0], keyIdx)
+	if s.useTable {
+		if _, added := s.ht.Insert(s.keyBuf); added {
+			s.rows = append(s.rows, r.Project(keyIdx))
+		}
+		return
+	}
+	if s.keys[string(s.keyBuf)] {
+		return
+	}
+	s.keys[string(s.keyBuf)] = true
+	s.rows = append(s.rows, r.Project(keyIdx))
 }
 
 // Contains tests membership of the projection of r onto keyIdx. It is

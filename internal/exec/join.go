@@ -18,7 +18,7 @@ import (
 type NestedLoopJoin struct {
 	Outer, Inner Operator
 	Pred         expr.Expr // bound against Outer.Schema().Concat(Inner.Schema()); may be nil
-	out          *schema.Schema
+	emit         JoinOutput
 	cur          value.Row
 	innerOpen    bool
 	done         bool
@@ -30,12 +30,15 @@ func NewNestedLoopJoin(outer, inner Operator, pred expr.Expr) *NestedLoopJoin {
 		Outer: outer,
 		Inner: inner,
 		Pred:  pred,
-		out:   outer.Schema().Concat(inner.Schema()),
+		emit:  NewJoinOutput(outer.Schema(), inner.Schema()),
 	}
 }
 
 // Schema implements Operator.
-func (j *NestedLoopJoin) Schema() *schema.Schema { return j.out }
+func (j *NestedLoopJoin) Schema() *schema.Schema { return j.emit.Schema() }
+
+// Narrow implements Narrower.
+func (j *NestedLoopJoin) Narrow(need []bool) []int { return j.emit.Narrow(need) }
 
 // Open implements Operator.
 func (j *NestedLoopJoin) Open(ctx *Context) error {
@@ -83,17 +86,13 @@ func (j *NestedLoopJoin) Next(ctx *Context) (value.Row, bool, error) {
 			continue
 		}
 		ctx.Counter.CPUTuples++
-		joined := j.cur.Concat(ir)
-		if j.Pred != nil {
-			keep, err := expr.EvalBool(j.Pred, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
+		joined, keep, err := j.emit.Match(j.cur, ir, j.Pred, nil)
+		if err != nil {
+			return nil, false, err
 		}
-		return joined, true, nil
+		if keep {
+			return joined, true, nil
+		}
 	}
 }
 
@@ -111,7 +110,9 @@ func (j *NestedLoopJoin) Close(ctx *Context) error {
 // HashJoin builds a hash table over the left input's key columns on Open,
 // then streams the right input, probing per row. An optional residual
 // predicate is evaluated against left‖right. The build and each probe
-// charge one CPU operation per row.
+// charge one CPU operation per row. Matches are built through a
+// JoinOutput, so a narrowed join emits only the columns its consumer
+// reads.
 type HashJoin struct {
 	Left, Right         Operator // Left is the build side
 	LeftKeys, RightKeys []int
@@ -123,7 +124,7 @@ type HashJoin struct {
 	// BuildSizeHint pre-sizes the hash table from the optimizer's build-side
 	// cardinality estimate (0 = unknown).
 	BuildSizeHint int
-	out           *schema.Schema
+	emit          JoinOutput
 	table         map[string][]value.Row
 	probe         value.Row
 	bucket        []value.Row
@@ -134,9 +135,9 @@ type HashJoin struct {
 	// Kernel-path state (ctx.Kernels): the string-keyed table is replaced
 	// by a RowTable over byte-encoded keys, with per-key bucket chains
 	// threaded through the drained build rows (heads/tails/nextRow index
-	// into buildRows), one reused key scratch buffer, and an arena for
-	// joined output rows. chain is the probe cursor into the current
-	// bucket chain (-1 = exhausted).
+	// into buildRows) and one reused key scratch buffer; emit carves
+	// joined output rows from its arena. chain is the probe cursor into
+	// the current bucket chain (-1 = exhausted).
 	useTable  bool
 	ht        RowTable
 	buildRows []value.Row
@@ -146,7 +147,6 @@ type HashJoin struct {
 	keyBuf    []byte
 	chain     int32
 	rkern     *expr.Pred
-	arena     value.RowArena
 }
 
 // NewHashJoin builds a hash equi-join; left is the build side and the
@@ -158,7 +158,7 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, residual expr.
 		LeftKeys:  leftKeys,
 		RightKeys: rightKeys,
 		Residual:  residual,
-		out:       left.Schema().Concat(right.Schema()),
+		emit:      NewJoinOutput(left.Schema(), right.Schema()),
 	}
 }
 
@@ -172,16 +172,20 @@ func NewHashJoinProbeFirst(left, right Operator, leftKeys, rightKeys []int, resi
 		RightKeys:      rightKeys,
 		Residual:       residual,
 		EmitProbeFirst: true,
-		out:            right.Schema().Concat(left.Schema()),
+		emit:           NewJoinOutput(right.Schema(), left.Schema()),
 	}
 }
 
 // Schema implements Operator.
-func (j *HashJoin) Schema() *schema.Schema { return j.out }
+func (j *HashJoin) Schema() *schema.Schema { return j.emit.Schema() }
+
+// Narrow implements Narrower.
+func (j *HashJoin) Narrow(need []bool) []int { return j.emit.Narrow(need) }
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Context) error {
 	j.useTable = ctx.Kernels
+	j.emit.arenaOn = j.useTable
 	if j.useTable && j.rkern == nil && j.Residual != nil {
 		// Compile once, before BindParams rewrites Param slots to
 		// literals; Bind refreshes the bindings on every re-Open.
@@ -235,14 +239,20 @@ func (j *HashJoin) Open(ctx *Context) error {
 	return j.Right.Open(ctx)
 }
 
-// residualKeep evaluates the residual over a joined row, through the
-// compiled kernel when the kernel path is active so both engines run the
-// same code. Callers guard on j.Residual != nil.
-func (j *HashJoin) residualKeep(joined value.Row) (bool, error) {
-	if j.useTable && j.rkern != nil {
-		return j.rkern.EvalRow(joined)
+// match runs build candidate l against the current probe row through
+// the residual — compiled when the kernel path is active, so both
+// engines run the same code — and builds the kept row in the configured
+// layout, arena-backed on the kernel path.
+func (j *HashJoin) match(l value.Row) (value.Row, bool, error) {
+	first, second := l, j.probe
+	if j.EmitProbeFirst {
+		first, second = j.probe, l
 	}
-	return expr.EvalBool(j.Residual, joined)
+	var kern *expr.Pred
+	if j.useTable {
+		kern = j.rkern
+	}
+	return j.emit.Match(first, second, j.Residual, kern)
 }
 
 // probeKey positions the bucket cursor for probe row r.
@@ -289,20 +299,6 @@ func (j *HashJoin) nextCandidate() (value.Row, bool) {
 	return l, true
 }
 
-// concat joins a build candidate with the current probe row in the
-// configured layout, arena-backed on the kernel path so a steady-state
-// batch pays one slab allocation per few thousand values.
-func (j *HashJoin) concat(l value.Row) value.Row {
-	b, p := l, j.probe
-	if j.EmitProbeFirst {
-		b, p = j.probe, l
-	}
-	if j.useTable {
-		return j.arena.Concat(b, p)
-	}
-	return b.Concat(p)
-}
-
 // Next implements Operator.
 func (j *HashJoin) Next(ctx *Context) (value.Row, bool, error) {
 	for {
@@ -312,17 +308,14 @@ func (j *HashJoin) Next(ctx *Context) (value.Row, bool, error) {
 		l, ok := j.nextCandidate()
 		if ok {
 			ctx.Counter.CPUTuples++
-			joined := j.concat(l)
-			if j.Residual != nil {
-				keep, err := j.residualKeep(joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if !keep {
-					continue
-				}
+			joined, keep, err := j.match(l)
+			if err != nil {
+				return nil, false, err
 			}
-			return joined, true, nil
+			if keep {
+				return joined, true, nil
+			}
+			continue
 		}
 		r, ok, err := j.Right.Next(ctx)
 		if err != nil || !ok {
@@ -351,17 +344,13 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 			}
 			l, _ := j.nextCandidate()
 			cpu++
-			joined := j.concat(l)
-			if j.Residual != nil {
-				keep, err := j.residualKeep(joined)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
+			joined, keep, err := j.match(l)
+			if err != nil {
+				return err
 			}
-			dst.Rows = append(dst.Rows, joined)
+			if keep {
+				dst.Rows = append(dst.Rows, joined)
+			}
 		}
 		if len(dst.Rows) >= max {
 			return nil
@@ -403,7 +392,7 @@ type MergeJoin struct {
 	LeftKeys, RightKeys           []int
 	Residual                      expr.Expr
 	LeftPresorted, RightPresorted bool
-	out                           *schema.Schema
+	emit                          JoinOutput
 
 	lrows, rrows []value.Row
 	li, ri       int
@@ -421,12 +410,15 @@ func NewMergeJoin(left, right Operator, leftKeys, rightKeys []int, residual expr
 		LeftKeys:  leftKeys,
 		RightKeys: rightKeys,
 		Residual:  residual,
-		out:       left.Schema().Concat(right.Schema()),
+		emit:      NewJoinOutput(left.Schema(), right.Schema()),
 	}
 }
 
 // Schema implements Operator.
-func (j *MergeJoin) Schema() *schema.Schema { return j.out }
+func (j *MergeJoin) Schema() *schema.Schema { return j.emit.Schema() }
+
+// Narrow implements Narrower.
+func (j *MergeJoin) Narrow(need []bool) []int { return j.emit.Narrow(need) }
 
 // NewMergeJoinPresorted builds a sort-merge equi-join that trusts the
 // flagged inputs to arrive sorted on their keys ascending.
@@ -482,18 +474,15 @@ func (j *MergeJoin) Next(ctx *Context) (value.Row, bool, error) {
 				rIdx := j.groupRStart + j.gj
 				if rIdx < len(j.rrows) && keyCompare(j.groupL[0], j.rrows[rIdx], j.LeftKeys, j.RightKeys) == 0 {
 					ctx.Counter.CPUTuples++
-					joined := j.groupL[j.gi].Concat(j.rrows[rIdx])
+					joined, keep, err := j.emit.Match(j.groupL[j.gi], j.rrows[rIdx], j.Residual, nil)
 					j.gj++
-					if j.Residual != nil {
-						keep, err := expr.EvalBool(j.Residual, joined)
-						if err != nil {
-							return nil, false, err
-						}
-						if !keep {
-							continue
-						}
+					if err != nil {
+						return nil, false, err
 					}
-					return joined, true, nil
+					if keep {
+						return joined, true, nil
+					}
+					continue
 				}
 				// Exhausted right group for this left row; advance left row.
 				j.gi++
@@ -551,8 +540,7 @@ type IndexNLJoin struct {
 	OuterKeyIdx []int     // key columns within the outer row, aligned with Index.Cols()
 	Residual    expr.Expr // bound against Outer.Schema().Concat(inner schema)
 	InnerAlias  string
-	out         *schema.Schema
-	innerSch    *schema.Schema
+	emit        JoinOutput
 	cur         value.Row
 	ids         []int
 	pos         int
@@ -572,13 +560,15 @@ func NewIndexNLJoin(outer Operator, t *storage.Table, ix *storage.HashIndex, out
 		OuterKeyIdx: outerKeyIdx,
 		Residual:    residual,
 		InnerAlias:  innerAlias,
-		innerSch:    is,
-		out:         outer.Schema().Concat(is),
+		emit:        NewJoinOutput(outer.Schema(), is),
 	}
 }
 
 // Schema implements Operator.
-func (j *IndexNLJoin) Schema() *schema.Schema { return j.out }
+func (j *IndexNLJoin) Schema() *schema.Schema { return j.emit.Schema() }
+
+// Narrow implements Narrower.
+func (j *IndexNLJoin) Narrow(need []bool) []int { return j.emit.Narrow(need) }
 
 // Open implements Operator.
 func (j *IndexNLJoin) Open(ctx *Context) error {
@@ -621,17 +611,13 @@ func (j *IndexNLJoin) Next(ctx *Context) (value.Row, bool, error) {
 		inner := j.Table.Row(j.ids[j.pos])
 		j.pos++
 		ctx.Counter.CPUTuples++
-		joined := j.cur.Concat(inner)
-		if j.Residual != nil {
-			keep, err := expr.EvalBool(j.Residual, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
+		joined, keep, err := j.emit.Match(j.cur, inner, j.Residual, nil)
+		if err != nil {
+			return nil, false, err
 		}
-		return joined, true, nil
+		if keep {
+			return joined, true, nil
+		}
 	}
 }
 
@@ -662,7 +648,7 @@ type ParallelHashJoin struct {
 	EmitProbeFirst      bool
 	BuildSizeHint       int
 	DOP                 int
-	out                 *schema.Schema
+	emit                JoinOutput // forked per worker
 	results             []value.Row
 	pos                 int
 	rkern               *expr.Pred // compiled residual; EvalRow is read-only and worker-safe
@@ -678,7 +664,7 @@ func NewParallelHashJoin(left, right Operator, leftKeys, rightKeys []int, residu
 		RightKeys: rightKeys,
 		Residual:  residual,
 		DOP:       clampDOP(dop),
-		out:       left.Schema().Concat(right.Schema()),
+		emit:      NewJoinOutput(left.Schema(), right.Schema()),
 	}
 }
 
@@ -687,12 +673,15 @@ func NewParallelHashJoin(left, right Operator, leftKeys, rightKeys []int, residu
 func NewParallelHashJoinProbeFirst(left, right Operator, leftKeys, rightKeys []int, residual expr.Expr, dop int) *ParallelHashJoin {
 	j := NewParallelHashJoin(left, right, leftKeys, rightKeys, residual, dop)
 	j.EmitProbeFirst = true
-	j.out = right.Schema().Concat(left.Schema())
+	j.emit = NewJoinOutput(right.Schema(), left.Schema())
 	return j
 }
 
 // Schema implements Operator.
-func (j *ParallelHashJoin) Schema() *schema.Schema { return j.out }
+func (j *ParallelHashJoin) Schema() *schema.Schema { return j.emit.Schema() }
+
+// Narrow implements Narrower.
+func (j *ParallelHashJoin) Narrow(need []bool) []int { return j.emit.Narrow(need) }
 
 // joinWorker builds this worker's hash table and probes it, charging the
 // worker context the serial HashJoin's per-row units (accumulated
@@ -715,6 +704,7 @@ func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []
 		k := r.Key(j.LeftKeys)
 		table[k] = append(table[k], r)
 	}
+	emit := j.emit.fork(false)
 	var out []taggedRow
 	for i, r := range probe {
 		if err := wctx.Err(); err != nil {
@@ -724,30 +714,31 @@ func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []
 		bucket := table[r.Key(j.RightKeys)]
 		for _, l := range bucket {
 			cpu++
-			var joined value.Row
-			if j.EmitProbeFirst {
-				joined = r.Concat(l)
-			} else {
-				joined = l.Concat(r)
+			joined, keep, err := j.match(&emit, r, l, nil)
+			if err != nil {
+				return out, err
 			}
-			if j.Residual != nil {
-				keep, err := expr.EvalBool(j.Residual, joined)
-				if err != nil {
-					return out, err
-				}
-				if !keep {
-					continue
-				}
+			if keep {
+				out = append(out, taggedRow{ord: probeOrds[i], row: joined})
 			}
-			out = append(out, taggedRow{ord: probeOrds[i], row: joined})
 		}
 	}
 	return out, nil
 }
 
+// match runs build candidate l against probe row r through the residual
+// and builds the kept row in the configured layout on the worker's
+// private output.
+func (j *ParallelHashJoin) match(emit *JoinOutput, r, l value.Row, kern *expr.Pred) (value.Row, bool, error) {
+	if j.EmitProbeFirst {
+		return emit.Match(r, l, j.Residual, kern)
+	}
+	return emit.Match(l, r, j.Residual, kern)
+}
+
 // joinWorkerTable is the kernel-path worker: a worker-private RowTable
 // with bucket chains over the build partition, one key scratch buffer,
-// and an arena for joined rows. Charges are identical to the map path —
+// and a private arena-backed output for joined rows. Charges are identical to the map path —
 // one CPU operation per build row, per probe row, per bucket candidate.
 // The shared compiled residual is only read (EvalRow holds no scratch),
 // so workers may evaluate it concurrently.
@@ -763,7 +754,7 @@ func (j *ParallelHashJoin) joinWorkerTable(wctx *Context, build []value.Row, pro
 	var heads, tails []int32
 	nextRow := make([]int32, 0, len(build))
 	var keyBuf []byte
-	var arena value.RowArena
+	emit := j.emit.fork(true)
 	for i, r := range build {
 		cpu++
 		keyBuf = r.AppendKey(keyBuf[:0], j.LeftKeys)
@@ -792,22 +783,13 @@ func (j *ParallelHashJoin) joinWorkerTable(wctx *Context, build []value.Row, pro
 			l := build[chain]
 			chain = nextRow[chain]
 			cpu++
-			var joined value.Row
-			if j.EmitProbeFirst {
-				joined = arena.Concat(r, l)
-			} else {
-				joined = arena.Concat(l, r)
+			joined, keep, err := j.match(&emit, r, l, j.rkern)
+			if err != nil {
+				return out, err
 			}
-			if j.Residual != nil {
-				keep, err := j.rkern.EvalRow(joined)
-				if err != nil {
-					return out, err
-				}
-				if !keep {
-					continue
-				}
+			if keep {
+				out = append(out, taggedRow{ord: probeOrds[i], row: joined})
 			}
-			out = append(out, taggedRow{ord: probeOrds[i], row: joined})
 		}
 	}
 	return out, nil

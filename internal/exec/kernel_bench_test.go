@@ -51,6 +51,16 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 			}, eng.kernels)
 		})
 	}
+	// The same join under a consumer that reads one column per side: the
+	// join gathers two values per match instead of concatenating four,
+	// and the identity Project passes its rows on (DESIGN.md §16).
+	b.Run("narrow", func(b *testing.B) {
+		benchDrain(b, func(b *testing.B) Operator {
+			j := NewHashJoin(allocTable(b, "b", 4096), allocTable(b, "p", 50_000),
+				[]int{0}, []int{0}, nil)
+			return NewColumnProject(j, []int{1, 2})
+		}, true)
+	})
 }
 
 func BenchmarkGroupByBatch(b *testing.B) {

@@ -64,3 +64,41 @@ func Mappable(e Expr, m []int) bool {
 	}
 	return true
 }
+
+// MarkCols sets need[c] for every column c that e references (a nil e
+// references none). It reports false when e references a column outside
+// need or is of a kind it cannot see into; a caller that gets false must
+// keep the layout e was bound against.
+func MarkCols(e Expr, need []bool) bool {
+	switch p := e.(type) {
+	case nil, Lit, Param:
+		return true
+	case Col:
+		if p.Idx < 0 || p.Idx >= len(need) {
+			return false
+		}
+		need[p.Idx] = true
+		return true
+	case Cmp:
+		return MarkCols(p.L, need) && MarkCols(p.R, need)
+	case And:
+		return markAll(p.Kids, need)
+	case Or:
+		return markAll(p.Kids, need)
+	case Not:
+		return MarkCols(p.Kid, need)
+	case Arith:
+		return MarkCols(p.L, need) && MarkCols(p.R, need)
+	default:
+		return false
+	}
+}
+
+func markAll(kids []Expr, need []bool) bool {
+	for _, k := range kids {
+		if !MarkCols(k, need) {
+			return false
+		}
+	}
+	return true
+}

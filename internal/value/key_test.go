@@ -3,6 +3,7 @@ package value
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -122,6 +123,31 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 			if ka == kb {
 				t.Errorf("distinct values %s (%s) and %s (%s) collide on key %q", a, a.Kind(), b, b.Kind(), ka)
 			}
+		}
+	}
+}
+
+// TestAppendKeyMatchesProjectedFullKey is the property the key-set build
+// relies on when it encodes keys straight from the input row: for random
+// rows over every test value (NULLs included) and random index lists
+// (repeats and permutations included), r.AppendKey(idx) equals
+// r.Project(idx).AppendFullKey() byte for byte.
+func TestAppendKeyMatchesProjectedFullKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var got, want []byte
+	for n := 0; n < 2000; n++ {
+		r := make(Row, 1+rng.Intn(5))
+		for i := range r {
+			r[i] = testValues[rng.Intn(len(testValues))]
+		}
+		idx := make([]int, rng.Intn(5))
+		for i := range idx {
+			idx[i] = rng.Intn(len(r))
+		}
+		got = r.AppendKey(got[:0], idx)
+		want = r.Project(idx).AppendFullKey(want[:0])
+		if string(got) != string(want) {
+			t.Fatalf("row %s idx %v: AppendKey %q, Project.AppendFullKey %q", r, idx, got, want)
 		}
 	}
 }
