@@ -162,11 +162,16 @@ func (e *Engine) invalidateLocked() {
 	}
 }
 
-// InvalidateCaches drops cached plans and costers; call after bulk
-// loading through the storage API directly.
+// InvalidateCaches drops collected table statistics, cached plans and
+// costers; call after bulk loading through the storage API directly.
 func (e *Engine) InvalidateCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	for _, name := range e.cat.Names() {
+		if ent, err := e.cat.Get(name); err == nil && ent.Table != nil {
+			ent.InvalidateStats()
+		}
+	}
 	e.invalidateLocked()
 }
 

@@ -267,8 +267,8 @@ func (db *DB) ExecParsed(st sql.Statement) (*Result, error) {
 	return db.eng.execStmt(context.Background(), st, nil)
 }
 
-// InvalidateCaches drops memoized plans and costers; call after bulk
-// loading through the storage API directly.
+// InvalidateCaches drops collected table statistics, memoized plans and
+// costers; call after bulk loading through the storage API directly.
 func (db *DB) InvalidateCaches() { db.eng.InvalidateCaches() }
 
 // QueryBlock optimizes and executes a programmatically built block

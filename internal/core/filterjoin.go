@@ -436,8 +436,11 @@ func (m *Method) buildCandidate(
 					keyCard = 1
 				}
 				k := raw.Rows / keyCard
-				clustered := len(ix.Cols()) > 0 && raw.ClusteredOn(ix.Cols()[0])
-				matchPages := stats.MatchPages(raw.Rows, tablePages, k, t.RowsPerPage(), clustered)
+				var run float64
+				if len(ix.Cols()) > 0 {
+					run = raw.SortedRunOn(ix.Cols()[0])
+				}
+				matchPages := stats.MatchPages(raw.Rows, tablePages, k, t.RowsPerPage(), run)
 				ixEst := cost.Estimate{
 					PageReads: fCard * (1 + matchPages),
 					CPUTuples: fCard * (k + 2),

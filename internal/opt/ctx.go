@@ -361,7 +361,7 @@ func (o *Optimizer) indexAccessPlan(ri *RelInfo, localLocal expr.Expr, alias str
 		}
 		k := raw.Rows / d
 		matchPages := stats.MatchPages(raw.Rows, float64(t.NumPages()), k,
-			t.RowsPerPage(), raw.ClusteredOn(col.Idx))
+			t.RowsPerPage(), raw.SortedRunOn(col.Idx))
 		est := cost.Estimate{PageReads: 1 + matchPages, CPUTuples: k}
 		var rest []expr.Expr
 		for j, other := range cs {

@@ -310,8 +310,11 @@ func (c *Ctx) indexJoinShape(outer *plan.Node, ri *RelInfo, preds []*PredInfo, o
 		keyCard = 1
 	}
 	k = raw.Rows / keyCard
-	clustered := len(ix.Cols()) > 0 && raw.ClusteredOn(ix.Cols()[0])
-	matchPages = stats.MatchPages(raw.Rows, float64(t.NumPages()), k, t.RowsPerPage(), clustered)
+	var run float64
+	if len(ix.Cols()) > 0 {
+		run = raw.SortedRunOn(ix.Cols()[0])
+	}
+	matchPages = stats.MatchPages(raw.Rows, float64(t.NumPages()), k, t.RowsPerPage(), run)
 
 	// Residual: all applicable preds except the covered equi pairs, plus
 	// the relation's local predicate (index fetch bypasses the leaf).

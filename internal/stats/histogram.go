@@ -28,13 +28,27 @@ func BuildHistogram(values []float64, buckets int) *Histogram {
 	vs := make([]float64, len(values))
 	copy(vs, values)
 	sort.Float64s(vs)
+	return histogramSorted(vs, buckets)
+}
+
+// histogramSorted builds the histogram BuildHistogram builds, from values
+// already sorted in sort.Float64s order, without copying them.
+func histogramSorted(vs []float64, buckets int) *Histogram {
+	if len(vs) == 0 || buckets < 1 {
+		return nil
+	}
 	if buckets > len(vs) {
 		buckets = len(vs)
 	}
-	h := &Histogram{total: len(vs)}
+	h := &Histogram{
+		bounds:   make([]float64, 1, buckets+1),
+		counts:   make([]int, 0, buckets),
+		distinct: make([]int, 0, buckets),
+		total:    len(vs),
+	}
 	per := len(vs) / buckets
 	rem := len(vs) % buckets
-	h.bounds = append(h.bounds, vs[0])
+	h.bounds[0] = vs[0]
 	i := 0
 	for b := 0; b < buckets; b++ {
 		n := per

@@ -9,7 +9,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"filterjoin/internal/expr"
 	"filterjoin/internal/storage"
@@ -29,6 +29,13 @@ type ColStats struct {
 	HasRange bool       // whether Min/Max are meaningful (numeric column)
 	Sorted   bool       // rows are stored in non-decreasing order of this column (clustering)
 	Hist     *Histogram // optional equi-height histogram (numeric only)
+
+	// SortedRun is the number of leading rows stored in non-decreasing
+	// order of this column; NULL rows do not break it. It is all rows
+	// when Sorted, the clustered prefix an append to a clustered table
+	// leaves in place, and 0 for an all-NULL column. MatchPages reads it
+	// (DESIGN.md §17).
+	SortedRun float64
 }
 
 // RelStats summarizes a relation: row count plus per-column stats aligned
@@ -55,55 +62,111 @@ func (s *RelStats) Clone() *RelStats {
 	return &RelStats{Rows: s.Rows, Cols: cols, SelFix: s.SelFix}
 }
 
-// Collect computes full statistics for a stored table.
+// Collect computes full statistics for a stored table. It makes one
+// pass over each column and allocates per column, not per row (DESIGN.md
+// §17): scratch buffers are shared across the columns.
 func Collect(t *storage.Table) *RelStats {
-	n := t.NumRows()
 	cols := make([]ColStats, t.Schema().Len())
+	cl := collector{numeric: make([]float64, 0, t.NumRows())}
 	for c := range cols {
-		cols[c] = collectColumn(t, c)
+		cols[c] = cl.column(t.Rows(), c)
 	}
-	return &RelStats{Rows: float64(n), Cols: cols}
+	return &RelStats{Rows: float64(t.NumRows()), Cols: cols}
 }
 
-func collectColumn(t *storage.Table, c int) ColStats {
+// maxExactInt is 2^53. Ints of at most this magnitude convert to
+// float64 exactly, so they compare equal as floats exactly when their
+// key encodings (value.Row.AppendKey) are equal; larger ints can round
+// onto one float. Floats need no bound: an integral float in int64 range
+// keys as that int, any other as its shortest decimal, so distinct
+// floats have distinct keys and ±0 share one (DESIGN.md §17).
+const maxExactInt = 1 << 53
+
+// collector holds the scratch buffers Collect reuses across columns.
+type collector struct {
+	numeric []float64 // the column's non-NULL numeric values
+	key     []byte    // AppendKey scratch for the distinct-count fallback
+}
+
+func (cl *collector) column(rows []value.Row, c int) ColStats {
 	var (
-		distinct = map[string]bool{}
 		nulls    int
-		numeric  []float64
 		isNum    = true
-		sorted   = true
+		keyExact = true // adjacent-distinct counting over numeric equals key-distinct counting
+		run      = len(rows)
 		prev     value.Value
 		havePrev bool
 	)
-	for _, r := range t.Rows() {
+	cl.numeric = cl.numeric[:0]
+	for i, r := range rows {
 		v := r[c]
 		if v.IsNull() {
 			nulls++
 			continue
 		}
-		if havePrev && value.Compare(prev, v) > 0 {
-			sorted = false
+		if run == len(rows) && havePrev && value.Compare(prev, v) > 0 {
+			run = i
 		}
 		prev, havePrev = v, true
-		distinct[r.Key([]int{c})] = true
-		if f, ok := v.AsFloat(); ok {
-			numeric = append(numeric, f)
-		} else {
-			isNum = false
+		if !isNum {
+			continue
 		}
+		switch v.Kind() {
+		case value.KindInt:
+			if x := v.Int(); x > maxExactInt || x < -maxExactInt {
+				keyExact = false
+			}
+		case value.KindFloat:
+			if math.IsNaN(v.Float()) {
+				keyExact = false
+			}
+		default:
+			isNum = false
+			continue
+		}
+		f, _ := v.AsFloat()
+		cl.numeric = append(cl.numeric, f)
 	}
-	cs := ColStats{Distinct: float64(len(distinct)), Sorted: sorted && havePrev}
-	if n := t.NumRows(); n > 0 {
+	if !havePrev {
+		run = 0
+	}
+	cs := ColStats{Sorted: havePrev && run == len(rows), SortedRun: float64(run)}
+	if n := len(rows); n > 0 {
 		cs.NullFrac = float64(nulls) / float64(n)
 	}
-	if isNum && len(numeric) > 0 {
-		sort.Float64s(numeric)
+	vs := cl.numeric
+	if isNum && len(vs) > 0 {
+		slices.Sort(vs)
 		cs.HasRange = true
-		cs.Min = numeric[0]
-		cs.Max = numeric[len(numeric)-1]
-		cs.Hist = BuildHistogram(numeric, DefaultHistogramBuckets)
+		cs.Min = vs[0]
+		cs.Max = vs[len(vs)-1]
+		cs.Hist = histogramSorted(vs, DefaultHistogramBuckets)
+	}
+	if isNum && keyExact {
+		cs.Distinct = float64(countDistinct(vs))
+	} else {
+		cs.Distinct = float64(cl.distinctKeys(rows, c))
 	}
 	return cs
+}
+
+// distinctKeys counts the column's distinct non-NULL canonical keys
+// through a map. Collect falls back to it for columns whose float order
+// does not decide key equality: non-numeric values, NaN (every NaN has
+// one key but compares unequal to itself) and ints beyond ±2^53
+// (distinct ints that round to one float).
+func (cl *collector) distinctKeys(rows []value.Row, c int) int {
+	seen := map[string]struct{}{}
+	for _, r := range rows {
+		if r[c].IsNull() {
+			continue
+		}
+		cl.key = r[c : c+1].AppendFullKey(cl.key[:0])
+		if _, ok := seen[string(cl.key)]; !ok { // only a new key allocates its string
+			seen[string(cl.key)] = struct{}{}
+		}
+	}
+	return len(seen)
 }
 
 // Concat returns stats for the cross-product-shaped concatenation of two
@@ -229,29 +292,41 @@ func YaoPages(n, m, k float64) float64 {
 }
 
 // MatchPages estimates the data pages one index probe touches when
-// fetching k of n rows stored on m pages (rowsPerPage rows each). When
-// the table is clustered on the probed key the matches are contiguous;
-// otherwise Yao's formula for randomly scattered records applies.
-func MatchPages(n, m, k float64, rowsPerPage int, clustered bool) float64 {
+// fetching k of n rows stored on m pages (rowsPerPage rows each), when
+// the first run rows are stored in order of the probed key (SortedRun).
+// Matches split between the run and the unordered tail in proportion to
+// their sizes: the run's share is contiguous and charged its share of
+// the clustered estimate, ceil(k/rowsPerPage)+1 pages; the tail's share
+// is scattered and charged its share of Yao's estimate. A run of at
+// least n rows gives the clustered estimate exactly, and a run shorter
+// than one page clusters nothing and gives YaoPages(n, m, k) exactly
+// (DESIGN.md §17).
+func MatchPages(n, m, k float64, rowsPerPage int, run float64) float64 {
 	if k <= 0 || m <= 0 {
 		return 0
 	}
-	if clustered {
-		if rowsPerPage < 1 {
-			rowsPerPage = 1
-		}
-		p := math.Ceil(k/float64(rowsPerPage)) + 1
-		if p > m {
-			p = m
-		}
-		return p
+	if rowsPerPage < 1 {
+		rowsPerPage = 1
 	}
-	return YaoPages(n, m, k)
+	clustered := math.Min(math.Ceil(k/float64(rowsPerPage))+1, m)
+	if run >= n {
+		return clustered
+	}
+	scattered := YaoPages(n, m, k)
+	if run < float64(rowsPerPage) {
+		return scattered
+	}
+	f := run / n
+	return f*clustered + (1-f)*scattered
 }
 
-// ClusteredOn reports whether the relation is stored sorted on column c.
-func (s *RelStats) ClusteredOn(c int) bool {
-	return c >= 0 && c < len(s.Cols) && s.Cols[c].Sorted
+// SortedRunOn returns the number of leading rows of the relation stored
+// in order of column c (ColStats.SortedRun), 0 for an unknown column.
+func (s *RelStats) SortedRunOn(c int) float64 {
+	if c < 0 || c >= len(s.Cols) {
+		return 0
+	}
+	return s.Cols[c].SortedRun
 }
 
 // JoinSelectivity estimates the selectivity of an equi-join between a

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -142,16 +143,119 @@ func TestYaoPages(t *testing.T) {
 }
 
 func TestMatchPagesClustered(t *testing.T) {
-	cl := MatchPages(10000, 100, 50, 100, true)
-	sc := MatchPages(10000, 100, 50, 100, false)
+	cl := MatchPages(10000, 100, 50, 100, 10000)
+	sc := MatchPages(10000, 100, 50, 100, 0)
 	if cl >= sc {
 		t.Errorf("clustered (%g) must beat scattered (%g) for k=50", cl, sc)
 	}
-	if MatchPages(10000, 100, 50, 100, true) > 100 {
+	if MatchPages(10000, 100, 50, 100, 10000) > 100 {
 		t.Error("clustered is capped by table pages")
 	}
-	if MatchPages(0, 0, 10, 100, true) != 0 {
+	if MatchPages(0, 0, 10, 100, 0) != 0 {
 		t.Error("empty table")
+	}
+}
+
+// matchPagesFlag is MatchPages as it was before sorted runs: a yes/no
+// clustering flag choosing between the contiguous and the Yao estimate.
+func matchPagesFlag(n, m, k float64, rowsPerPage int, clustered bool) float64 {
+	if k <= 0 || m <= 0 {
+		return 0
+	}
+	if clustered {
+		if rowsPerPage < 1 {
+			rowsPerPage = 1
+		}
+		p := math.Ceil(k/float64(rowsPerPage)) + 1
+		if p > m {
+			p = m
+		}
+		return p
+	}
+	return YaoPages(n, m, k)
+}
+
+// matchPagesCase draws a probe geometry: n rows, rowsPerPage, the pages
+// they fill (or, one time in four, any page count), and k matches.
+func matchPagesCase(r *rand.Rand) (n, m, k float64, rpp int) {
+	n = float64(1 + r.Intn(100000))
+	rpp = r.Intn(200)
+	m = math.Ceil(n / math.Max(1, float64(rpp)))
+	if r.Intn(4) == 0 {
+		m = float64(r.Intn(2000))
+	}
+	k = n * math.Pow(r.Float64(), 3)
+	if r.Intn(8) == 0 {
+		k = float64(r.Intn(3))
+	}
+	return n, m, k, rpp
+}
+
+// TestMatchPagesEndpoints pins the sorted-run estimate to the flag
+// formulas bit for bit at both ends: a run covering the table is the
+// clustered estimate, a run shorter than one page the Yao estimate.
+func TestMatchPagesEndpoints(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		n, m, k, rpp := matchPagesCase(r)
+		cl, sc := matchPagesFlag(n, m, k, rpp, true), matchPagesFlag(n, m, k, rpp, false)
+		for _, run := range []float64{n, n + 1} {
+			if got := MatchPages(n, m, k, rpp, run); got != cl {
+				t.Fatalf("MatchPages(%g, %g, %g, %d, run=%g) = %v, clustered formula %v", n, m, k, rpp, run, got, cl)
+			}
+		}
+		for _, run := range []float64{0, math.Max(0, float64(rpp)-1), math.Floor(float64(rpp) / 2)} {
+			if run >= n {
+				continue
+			}
+			if got := MatchPages(n, m, k, rpp, run); got != sc {
+				t.Fatalf("MatchPages(%g, %g, %g, %d, run=%g) = %v, Yao %v", n, m, k, rpp, run, got, sc)
+			}
+		}
+	}
+}
+
+// TestMatchPagesSortedRunMonotone checks that the estimate moves
+// monotonically from the Yao estimate to the clustered one as the run
+// grows, never leaves the range between them and never exceeds m. When
+// clustering helps (the clustered estimate is at most Yao's, true for
+// every k beyond a couple of rows) that means non-increasing; for k
+// near 1 the clustered formula's straddle page makes it exceed Yao's,
+// and the estimate rises to it instead.
+func TestMatchPagesSortedRunMonotone(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 3000; i++ {
+		n, m, k, rpp := matchPagesCase(r)
+		cl, sc := MatchPages(n, m, k, rpp, n), MatchPages(n, m, k, rpp, 0)
+		lo, hi := math.Min(cl, sc), math.Max(cl, sc)
+		if hi > math.Max(m, 0) {
+			t.Fatalf("endpoint above m=%g: clustered %g, Yao %g", m, cl, sc)
+		}
+		prev := sc
+		for j := 0; j <= 64; j++ {
+			run := math.Floor(n * float64(j) / 64)
+			got := MatchPages(n, m, k, rpp, run)
+			if got < lo-1e-9 || got > hi+1e-9 {
+				t.Fatalf("MatchPages(%g, %g, %g, %d, run=%g) = %g outside [%g, %g]", n, m, k, rpp, run, got, lo, hi)
+			}
+			if cl <= sc && got > prev+1e-9 || cl > sc && got < prev-1e-9 {
+				t.Fatalf("MatchPages(%g, %g, %g, %d, run=%g) = %g moves away from clustered %g (previous %g)",
+					n, m, k, rpp, run, got, cl, prev)
+			}
+			prev = got
+		}
+		if prev != cl {
+			t.Fatalf("full run gives %g, clustered %g", prev, cl)
+		}
+	}
+	// The Fig 1 shape: 20,000 rows clustered on did (128 rows a page,
+	// 50 rows a key) with 20 rows appended: the estimate stays within a
+	// page of the clustered one instead of jumping to Yao's.
+	n, rpp := 20020.0, 128
+	m := math.Ceil(n / float64(rpp))
+	k := n / 400
+	if got, cl := MatchPages(n, m, k, rpp, 20000), MatchPages(n, m, k, rpp, n); got > cl+1 {
+		t.Errorf("20 appended rows: %g pages, clustered %g, Yao %g", got, cl, MatchPages(n, m, k, rpp, 0))
 	}
 }
 
