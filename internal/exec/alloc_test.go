@@ -9,7 +9,7 @@ import (
 )
 
 // allocBudget is the checked-in allocation budget for steady-state
-// NextBatch calls on the kernel paths (testdata/alloc_budget.json). The
+// NextBatch calls (testdata/alloc_budget.json). The
 // budgets carry roughly 2x headroom over the measured figures so the
 // gate catches regressions — a per-row allocation shows up as ~1024
 // allocs per batch — without flaking on incidental runtime variation.
@@ -92,7 +92,7 @@ func TestAllocBudget(t *testing.T) {
 			// Every key repeats within the first batch, so the steady
 			// state only encodes and looks up keys.
 			return &keySetSink{Operator: allocTable(t, "k", tableRows),
-				ks: NewKeySetTableSized(1, 0), idx: []int{0}}
+				ks: NewKeySetSized(1, 0), idx: []int{0}}
 		}},
 		{"GroupBy", func(t *testing.T) Operator {
 			// Distinct keys so the emit phase spans many output batches.
@@ -113,7 +113,6 @@ func TestAllocBudget(t *testing.T) {
 			}
 			op := tc.mk(t)
 			ctx := NewContext()
-			ctx.Kernels = true
 			ctx.BatchSize = DefaultBatchSize
 			if err := op.Open(ctx); err != nil {
 				t.Fatal(err)
@@ -151,32 +150,28 @@ func TestAllocBudget(t *testing.T) {
 	}
 }
 
-// TestBuildKeySetAllocsPerDistinctKey gates BuildKeySetSized itself on
-// both backends: a build over 200k rows with 997 distinct keys allocates
-// in proportion to the distinct keys (one key row each, plus the key
-// string on the map backend), not to the input rows.
+// TestBuildKeySetAllocsPerDistinctKey gates BuildKeySetSized itself: a
+// build over 200k rows with 997 distinct keys allocates in proportion to
+// the distinct keys (one key row each), not to the input rows.
 func TestBuildKeySetAllocsPerDistinctKey(t *testing.T) {
 	const distinct = 997
 	tb := allocTable(t, "k", 200_000).(*TableScan).Table
-	for _, kernels := range []bool{false, true} {
-		ctx := NewContext()
-		ctx.Kernels = kernels
-		ctx.BatchSize = DefaultBatchSize
-		var n int
-		got := testing.AllocsPerRun(3, func() {
-			ks, err := BuildKeySetSized(ctx, NewTableScan(tb, ""), []int{0}, distinct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n = ks.Len()
-		})
-		if n != distinct {
-			t.Fatalf("kernels=%v: %d keys, want %d", kernels, n, distinct)
+	ctx := NewContext()
+	ctx.BatchSize = DefaultBatchSize
+	var n int
+	got := testing.AllocsPerRun(3, func() {
+		ks, err := BuildKeySetSized(ctx, NewTableScan(tb, ""), []int{0}, distinct)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("kernels=%v: %.0f allocs per build", kernels, got)
-		if got > 3*distinct {
-			t.Errorf("kernels=%v: BuildKeySetSized allocates %.0f per build, want at most %d (3 per distinct key)",
-				kernels, got, 3*distinct)
-		}
+		n = ks.Len()
+	})
+	if n != distinct {
+		t.Fatalf("%d keys, want %d", n, distinct)
+	}
+	t.Logf("%.0f allocs per build", got)
+	if got > 3*distinct {
+		t.Errorf("BuildKeySetSized allocates %.0f per build, want at most %d (3 per distinct key)",
+			got, 3*distinct)
 	}
 }

@@ -10,13 +10,13 @@ import (
 )
 
 // Select filters child rows by a predicate, charging one CPU operation
-// per evaluated row.
+// per evaluated row. The predicate is compiled to batch kernels at first
+// Open (DESIGN.md §14).
 type Select struct {
 	Child Operator
 	Pred  expr.Expr
 	in    Batch      // batch-mode scratch for child pulls
-	kern  *expr.Pred // compiled predicate (ctx.Kernels batch path)
-	useK  bool
+	kern  *expr.Pred // compiled predicate
 }
 
 // NewSelect builds a selection.
@@ -27,17 +27,23 @@ func NewSelect(child Operator, pred expr.Expr) *Select {
 // Schema implements Operator.
 func (s *Select) Schema() *schema.Schema { return s.Child.Schema() }
 
+// compiled returns pred's compiled form bound to params, compiling it
+// on first use (kern == nil). Operators call it before BindParams
+// rewrites pred's Param slots to literals, so the compiled form keeps
+// the slots and rebinds them on every re-Open. A nil pred yields nil.
+func compiled(kern *expr.Pred, pred expr.Expr, params []value.Value) *expr.Pred {
+	if kern == nil {
+		kern = expr.CompilePred(pred)
+	}
+	if kern != nil {
+		kern.Bind(params)
+	}
+	return kern
+}
+
 // Open implements Operator.
 func (s *Select) Open(ctx *Context) error {
-	s.useK = ctx.Kernels && s.Pred != nil
-	if s.useK && s.kern == nil {
-		// Compile once, before BindParams rewrites Param slots to
-		// literals; Bind refreshes the bindings on every re-Open.
-		s.kern = expr.CompilePred(s.Pred)
-	}
-	if s.kern != nil {
-		s.kern.Bind(ctx.Params)
-	}
+	s.kern = compiled(s.kern, s.Pred, ctx.Params)
 	s.Pred = expr.BindParams(s.Pred, ctx.Params)
 	s.in.Reset()
 	return s.Child.Open(ctx)
@@ -54,12 +60,7 @@ func (s *Select) Next(ctx *Context) (value.Row, bool, error) {
 			return nil, false, err
 		}
 		ctx.Counter.CPUTuples++
-		var keep bool
-		if s.useK {
-			keep, err = s.kern.EvalRow(r)
-		} else {
-			keep, err = expr.EvalBool(s.Pred, r)
-		}
+		keep, err := s.kern.EvalRow(r)
 		if err != nil {
 			return nil, false, err
 		}
@@ -70,13 +71,11 @@ func (s *Select) Next(ctx *Context) (value.Row, bool, error) {
 }
 
 // NextBatch implements BatchOperator: pull child batches no larger than
-// the output budget and keep the qualifying rows, charging one CPU
-// operation per evaluated row, accumulated locally and flushed once per
-// batch (and before an evaluation error propagates, mirroring the row
-// form's charge-then-evaluate order). With kernels enabled the whole
-// batch goes through the compiled predicate's selection vector; the
-// kernel reports how many rows the row loop would have evaluated, so
-// the charge — including a failing row's — is identical.
+// the output budget and keep the qualifying rows through the compiled
+// predicate's selection vector. One CPU operation is charged per
+// evaluated row: the kernel reports how many rows the row loop would
+// have evaluated, so the charge — including a failing row's — matches
+// Next, and it is flushed before an evaluation error propagates.
 func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
@@ -88,26 +87,13 @@ func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 		if s.in.Len() == 0 {
 			return nil
 		}
-		if s.useK {
-			sel, evaluated, err := s.kern.SelectBatch(s.in.Rows)
-			cpu += int64(evaluated)
-			if err != nil {
-				return err
-			}
-			for _, ri := range sel {
-				dst.Rows = append(dst.Rows, s.in.Rows[ri])
-			}
-			continue
+		sel, evaluated, err := s.kern.SelectBatch(s.in.Rows)
+		cpu += int64(evaluated)
+		if err != nil {
+			return err
 		}
-		for _, r := range s.in.Rows {
-			cpu++
-			keep, err := expr.EvalBool(s.Pred, r)
-			if err != nil {
-				return err
-			}
-			if keep {
-				dst.Rows = append(dst.Rows, r)
-			}
+		for _, ri := range sel {
+			dst.Rows = append(dst.Rows, s.in.Rows[ri])
 		}
 	}
 	return nil
@@ -127,10 +113,9 @@ type Project struct {
 	in    Batch // batch-mode scratch for child pulls
 	pass  bool  // Exprs copy every child column in place
 
-	// Kernel-path state (ctx.Kernels): output rows are carved from an
-	// arena instead of allocated per row, and an all-column projection
-	// precomputes its index list so evaluation is a pair of copies.
-	useK   bool
+	// Output rows are carved from an arena instead of allocated per row,
+	// and an all-column projection precomputes its index list at first
+	// Open so evaluation is a pair of copies.
 	colIdx []int
 	arena  value.RowArena
 }
@@ -177,8 +162,7 @@ func (p *Project) Schema() *schema.Schema { return p.Out }
 // Open implements Operator.
 func (p *Project) Open(ctx *Context) error {
 	p.Exprs = expr.BindParamsList(p.Exprs, ctx.Params)
-	p.useK = ctx.Kernels
-	if p.useK && p.colIdx == nil {
+	if p.colIdx == nil {
 		idx := make([]int, len(p.Exprs))
 		for i, e := range p.Exprs {
 			c, ok := e.(expr.Col)
@@ -194,15 +178,14 @@ func (p *Project) Open(ctx *Context) error {
 	return p.Child.Open(ctx)
 }
 
-// evalRow computes one output row, arena-backed on the kernel path. An
-// identity projection returns the child's row itself; the all-column
-// shape copies values directly; Col.Eval's range check is preserved
-// verbatim.
+// evalRow computes one output row, arena-backed. An identity projection
+// returns the child's row itself; the all-column shape copies values
+// directly; Col.Eval's range check is preserved verbatim.
 func (p *Project) evalRow(r value.Row) (value.Row, error) {
 	if p.pass {
 		return r, nil
 	}
-	if p.useK && p.colIdx != nil {
+	if p.colIdx != nil {
 		inRange := true
 		for _, j := range p.colIdx {
 			if j < 0 || j >= len(r) {
@@ -214,12 +197,7 @@ func (p *Project) evalRow(r value.Row) (value.Row, error) {
 			return p.arena.Project(r, p.colIdx), nil
 		}
 	}
-	var out value.Row
-	if p.useK {
-		out = p.arena.Make(len(p.Exprs))
-	} else {
-		out = make(value.Row, len(p.Exprs))
-	}
+	out := p.arena.Make(len(p.Exprs))
 	for i, e := range p.Exprs {
 		v, err := e.Eval(r)
 		if err != nil {
@@ -269,18 +247,15 @@ func (p *Project) Close(ctx *Context) error { return p.Child.Close(ctx) }
 
 // Distinct removes duplicate rows with a hash set, charging one CPU
 // operation per input row. This is the operator behind ProjCost_F: the
-// distinct projection that produces the filter set.
+// distinct projection that produces the filter set. The seen-set is a
+// RowTable over byte-encoded full keys with one reused scratch buffer,
+// so the steady state allocates only when a new distinct key is
+// retained.
 type Distinct struct {
-	Child Operator
-	seen  map[string]bool
-	in    Batch // batch-mode scratch for child pulls
-
-	// Kernel-path state (ctx.Kernels): the seen-set is a RowTable over
-	// byte-encoded full keys with one reused scratch buffer, so the
-	// steady state allocates only when a new distinct key is retained.
-	useTable bool
-	ht       RowTable
-	keyBuf   []byte
+	Child  Operator
+	in     Batch // batch-mode scratch for child pulls
+	ht     RowTable
+	keyBuf []byte
 }
 
 // NewDistinct builds a hash-based duplicate eliminator.
@@ -291,13 +266,7 @@ func (d *Distinct) Schema() *schema.Schema { return d.Child.Schema() }
 
 // Open implements Operator.
 func (d *Distinct) Open(ctx *Context) error {
-	d.useTable = ctx.Kernels
-	if d.useTable {
-		d.seen = nil
-		d.ht.Init(0)
-	} else {
-		d.seen = map[string]bool{}
-	}
+	d.ht.Init(0)
 	d.keyBuf = d.keyBuf[:0]
 	d.in.Reset()
 	return d.Child.Open(ctx)
@@ -305,17 +274,9 @@ func (d *Distinct) Open(ctx *Context) error {
 
 // firstSeen reports whether r's full key is new, recording it.
 func (d *Distinct) firstSeen(r value.Row) bool {
-	if d.useTable {
-		d.keyBuf = r.AppendFullKey(d.keyBuf[:0])
-		_, added := d.ht.Insert(d.keyBuf)
-		return added
-	}
-	k := r.FullKey()
-	if d.seen[k] {
-		return false
-	}
-	d.seen[k] = true
-	return true
+	d.keyBuf = r.AppendFullKey(d.keyBuf[:0])
+	_, added := d.ht.Insert(d.keyBuf)
+	return added
 }
 
 // Next implements Operator.

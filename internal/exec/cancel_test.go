@@ -47,7 +47,9 @@ func TestNextObservesCancellation(t *testing.T) {
 	tb := intTable(t, "t", []string{"a", "b"}, rows)
 	scan := func() Operator { return NewTableScan(tb, "") }
 	cases := map[string]func() Operator{
-		"Select":   func() Operator { return NewSelect(scan(), expr.NewCmp(expr.LT, expr.NewCol(0, "a"), expr.NewLit(value.NewInt(0)))) },
+		"Select": func() Operator {
+			return NewSelect(scan(), expr.NewCmp(expr.LT, expr.NewCol(0, "a"), expr.NewLit(value.NewInt(0))))
+		},
 		"Distinct": func() Operator { return NewDistinct(scan()) },
 		"StreamGroupBy": func() Operator {
 			return NewStreamGroupBy(scan(), []int{0}, []expr.AggSpec{{Kind: expr.AggCount, Name: "c"}})

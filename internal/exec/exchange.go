@@ -36,7 +36,6 @@ func NewWorkerContext(parent *Context) *Context {
 	w := NewContext()
 	if parent != nil {
 		w.Caller = parent.Caller
-		w.Kernels = parent.Kernels
 	}
 	return w
 }
@@ -90,6 +89,7 @@ type ParallelScan struct {
 	alias *schema.Schema
 	rows  []value.Row
 	pos   int
+	kern  *expr.Pred // compiled Pred, as in Select; EvalRow is read-only and worker-safe
 }
 
 // NewParallelScan builds a morsel-parallel scan with dop workers. If
@@ -158,7 +158,7 @@ func (s *ParallelScan) scanMorsel(wctx *Context, m morselRange) ([]value.Row, er
 		cpu++
 		if s.Pred != nil {
 			cpu++
-			keep, err := expr.EvalBool(s.Pred, r)
+			keep, err := s.kern.EvalRow(r)
 			if err != nil {
 				return out, err
 			}
@@ -175,7 +175,9 @@ func (s *ParallelScan) scanMorsel(wctx *Context, m morselRange) ([]value.Row, er
 // waits, absorbs every worker counter in morsel order, and concatenates
 // the buffered outputs in morsel order.
 func (s *ParallelScan) Open(ctx *Context) error {
-	s.Pred = expr.BindParams(s.Pred, ctx.Params) // before worker fan-out
+	// Both before worker fan-out.
+	s.kern = compiled(s.kern, s.Pred, ctx.Params)
+	s.Pred = expr.BindParams(s.Pred, ctx.Params)
 	s.rows = nil
 	s.pos = 0
 	ranges := morselRanges(s.Table.NumRows(), s.Table.RowsPerPage(), s.DOP)

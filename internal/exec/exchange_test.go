@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -46,6 +47,38 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		seqEqual(t, gotRows, serialSelRows, "predicated scan")
 		if gotCost != serialSelCost {
 			t.Errorf("dop=%d: predicated scan cost %s, want serial %s", dop, gotCost.String(), serialSelCost.String())
+		}
+	}
+
+	// A predicate that divides by zero at row bad, in the middle of the
+	// last page. Every DOP's last morsel holds that page, so only it
+	// fails, and the serial Select fails at the same row: rows, error
+	// and counters must all match. The first conjunct fails first, so
+	// the compiled And's error cascade is on the path.
+	rpp := tb.RowsPerPage()
+	lastPage := (len(rows) - 1) / rpp * rpp
+	bad := lastPage + (len(rows)-lastPage)/2
+	if bad == lastPage || bad == len(rows)-1 {
+		t.Fatalf("table geometry leaves no mid-page row (rows per page %d)", rpp)
+	}
+	errPred := expr.NewAnd(
+		expr.NewCmp(expr.GT,
+			expr.Arith{Op: expr.Div, L: expr.Int(1), R: expr.Arith{Op: expr.Sub, L: expr.NewCol(0, "a"), R: expr.Int(int64(bad))}},
+			expr.Int(-10)),
+		pred,
+	)
+	run := func(op Operator) string {
+		ctx := NewContext()
+		got, err := Drain(ctx, op)
+		if err == nil {
+			t.Fatalf("%T: predicate error did not surface", op)
+		}
+		return fmt.Sprintf("%d rows, error %q, cost %s", len(got), err, ctx.Counter.String())
+	}
+	want := run(NewSelect(NewTableScan(tb, ""), errPred))
+	for _, dop := range []int{1, 2, 3, 4, 8, 64} {
+		if got := run(NewParallelScan(tb, "", dop, errPred)); got != want {
+			t.Errorf("dop=%d: erroring predicated scan gave %s, serial Select %s", dop, got, want)
 		}
 	}
 }

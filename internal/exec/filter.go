@@ -9,20 +9,15 @@ import (
 
 // KeySet is an exact in-memory filter set: the distinct projection of the
 // production set onto the join attributes (the paper's "filter set F",
-// classically the "magic set").
+// classically the "magic set"). Keys live in an open-addressing RowTable
+// over their canonical byte encodings, with keyBuf as the build-time
+// encoding scratch; probes supply their own scratch (ContainsBuf), so a
+// built set may be shared by concurrent probers.
 type KeySet struct {
-	keys  map[string]bool
-	rows  []value.Row
-	width int
-
-	// Kernel-path backend (DESIGN.md §14): an open-addressing RowTable
-	// over canonical byte keys replaces the string map, with keyBuf as
-	// the build-time encoding scratch. Membership semantics are
-	// identical; only the representation changes. Probes must supply
-	// their own scratch (ContainsBuf) when the set is shared.
-	useTable bool
-	ht       RowTable
-	keyBuf   []byte
+	rows   []value.Row
+	width  int
+	ht     RowTable
+	keyBuf []byte
 }
 
 // NewKeySet creates an empty key set for keys of the given width.
@@ -33,20 +28,9 @@ func NewKeySet(width int) *KeySet {
 // NewKeySetSized creates an empty key set pre-sized for about hint
 // distinct keys (0 = unknown).
 func NewKeySetSized(width, hint int) *KeySet {
-	return &KeySet{
-		keys:  make(map[string]bool, hint),
+	ks := &KeySet{
 		rows:  make([]value.Row, 0, hint),
 		width: width,
-	}
-}
-
-// NewKeySetTableSized is NewKeySetSized on the allocation-free RowTable
-// backend (the ctx.Kernels path).
-func NewKeySetTableSized(width, hint int) *KeySet {
-	ks := &KeySet{
-		rows:     make([]value.Row, 0, hint),
-		width:    width,
-		useTable: true,
 	}
 	ks.ht.Init(hint)
 	return ks
@@ -67,12 +51,7 @@ func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySe
 	if m := narrowChild(op, func(need []bool) bool { return markIdx(need, keyIdx) }); m != nil {
 		keyIdx = remapIdx(keyIdx, m)
 	}
-	var ks *KeySet
-	if ctx.Kernels {
-		ks = NewKeySetTableSized(len(keyIdx), hint)
-	} else {
-		ks = NewKeySetSized(len(keyIdx), hint)
-	}
+	ks := NewKeySetSized(len(keyIdx), hint)
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
@@ -89,60 +68,30 @@ func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySe
 
 // Add inserts a key row.
 func (s *KeySet) Add(key value.Row) {
-	if s.useTable {
-		s.keyBuf = key.AppendFullKey(s.keyBuf[:0])
-		if _, added := s.ht.Insert(s.keyBuf); added {
-			s.rows = append(s.rows, key)
-		}
-		return
+	s.keyBuf = key.AppendFullKey(s.keyBuf[:0])
+	if _, added := s.ht.Insert(s.keyBuf); added {
+		s.rows = append(s.rows, key)
 	}
-	k := key.FullKey()
-	if s.keys[k] {
-		return
-	}
-	s.keys[k] = true
-	s.rows = append(s.rows, key)
 }
 
 // addFrom inserts the projection of r onto keyIdx. The key is encoded
 // straight from r into the set's scratch buffer — the bytes equal those
 // of r.Project(keyIdx).AppendFullKey — and the key row is projected only
-// when the key is new, so a duplicate costs no allocation on either
-// backend (a map lookup through string(buf) does not copy).
+// when the key is new, so a duplicate costs no allocation.
 func (s *KeySet) addFrom(r value.Row, keyIdx []int) {
 	s.keyBuf = r.AppendKey(s.keyBuf[:0], keyIdx)
-	if s.useTable {
-		if _, added := s.ht.Insert(s.keyBuf); added {
-			s.rows = append(s.rows, r.Project(keyIdx))
-		}
-		return
+	if _, added := s.ht.Insert(s.keyBuf); added {
+		s.rows = append(s.rows, r.Project(keyIdx))
 	}
-	if s.keys[string(s.keyBuf)] {
-		return
-	}
-	s.keys[string(s.keyBuf)] = true
-	s.rows = append(s.rows, r.Project(keyIdx))
 }
 
-// Contains tests membership of the projection of r onto keyIdx. It is
-// safe for concurrent probes (it never touches the set's scratch); hot
-// callers holding their own scratch buffer should use ContainsBuf.
-func (s *KeySet) Contains(r value.Row, keyIdx []int) bool {
-	if s.useTable {
-		return s.ht.Lookup(r.AppendKey(nil, keyIdx)) >= 0
-	}
-	return s.keys[r.Key(keyIdx)]
-}
-
-// ContainsBuf is Contains with a caller-supplied encoding scratch so
-// per-probe allocation is zero; it returns the (possibly grown) buffer
-// for reuse. Each concurrent prober must own its buffer.
+// ContainsBuf tests membership of the projection of r onto keyIdx with a
+// caller-supplied encoding scratch, so a probe allocates nothing; it
+// returns the (possibly grown) buffer for reuse. The set itself is only
+// read, so concurrent probers are safe as long as each owns its buffer.
 func (s *KeySet) ContainsBuf(r value.Row, keyIdx []int, buf []byte) ([]byte, bool) {
-	if s.useTable {
-		buf = r.AppendKey(buf[:0], keyIdx)
-		return buf, s.ht.Lookup(buf) >= 0
-	}
-	return buf, s.keys[r.Key(keyIdx)]
+	buf = r.AppendKey(buf[:0], keyIdx)
+	return buf, s.ht.Lookup(buf) >= 0
 }
 
 // Len returns the number of distinct keys.

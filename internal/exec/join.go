@@ -112,7 +112,7 @@ func (j *NestedLoopJoin) Close(ctx *Context) error {
 // predicate is evaluated against left‖right. The build and each probe
 // charge one CPU operation per row. Matches are built through a
 // JoinOutput, so a narrowed join emits only the columns its consumer
-// reads.
+// reads; joined rows are carved from its arena.
 type HashJoin struct {
 	Left, Right         Operator // Left is the build side
 	LeftKeys, RightKeys []int
@@ -125,28 +125,57 @@ type HashJoin struct {
 	// cardinality estimate (0 = unknown).
 	BuildSizeHint int
 	emit          JoinOutput
-	table         map[string][]value.Row
 	probe         value.Row
-	bucket        []value.Row
-	bpos          int
 	pbuf          Batch // batch-mode scratch for probe-side pulls
 	ppos          int
+	buildRows     []value.Row
+	table         chainTable
+	chain         int32 // probe cursor into buildRows (-1 = bucket exhausted)
+	rkern         *expr.Pred
+}
 
-	// Kernel-path state (ctx.Kernels): the string-keyed table is replaced
-	// by a RowTable over byte-encoded keys, with per-key bucket chains
-	// threaded through the drained build rows (heads/tails/nextRow index
-	// into buildRows) and one reused key scratch buffer; emit carves
-	// joined output rows from its arena. chain is the probe cursor into
-	// the current bucket chain (-1 = exhausted).
-	useTable  bool
-	ht        RowTable
-	buildRows []value.Row
-	heads     []int32
-	tails     []int32
-	nextRow   []int32
-	keyBuf    []byte
-	chain     int32
-	rkern     *expr.Pred
+// chainTable is a hash join's build-side index: a RowTable over the
+// build rows' byte-encoded keys, with each key's rows threaded into a
+// chain in build order. heads[id] is the first row of key id, next[i]
+// the row after row i with the same key, and -1 ends a chain.
+type chainTable struct {
+	ht     RowTable
+	heads  []int32
+	tails  []int32
+	next   []int32
+	keyBuf []byte
+}
+
+// build indexes rows on their key columns; hint pre-sizes the table.
+func (c *chainTable) build(rows []value.Row, keys []int, hint int) {
+	c.ht.Init(hint)
+	c.heads, c.tails = c.heads[:0], c.tails[:0]
+	if cap(c.next) < len(rows) {
+		c.next = make([]int32, 0, len(rows))
+	}
+	c.next = c.next[:0]
+	for i, r := range rows {
+		c.keyBuf = r.AppendKey(c.keyBuf[:0], keys)
+		id, added := c.ht.Insert(c.keyBuf)
+		c.next = append(c.next, -1)
+		if added {
+			c.heads = append(c.heads, int32(i))
+			c.tails = append(c.tails, int32(i))
+		} else {
+			c.next[c.tails[id]] = int32(i)
+			c.tails[id] = int32(i)
+		}
+	}
+}
+
+// head returns the first build row whose key equals r's projection onto
+// keys, or -1 when there is none.
+func (c *chainTable) head(r value.Row, keys []int) int32 {
+	c.keyBuf = r.AppendKey(c.keyBuf[:0], keys)
+	if id := c.ht.Lookup(c.keyBuf); id >= 0 {
+		return c.heads[id]
+	}
+	return -1
 }
 
 // NewHashJoin builds a hash equi-join; left is the build side and the
@@ -158,7 +187,7 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, residual expr.
 		LeftKeys:  leftKeys,
 		RightKeys: rightKeys,
 		Residual:  residual,
-		emit:      NewJoinOutput(left.Schema(), right.Schema()),
+		emit:      NewJoinOutput(left.Schema(), right.Schema()).withArena(),
 	}
 }
 
@@ -172,7 +201,7 @@ func NewHashJoinProbeFirst(left, right Operator, leftKeys, rightKeys []int, resi
 		RightKeys:      rightKeys,
 		Residual:       residual,
 		EmitProbeFirst: true,
-		emit:           NewJoinOutput(right.Schema(), left.Schema()),
+		emit:           NewJoinOutput(right.Schema(), left.Schema()).withArena(),
 	}
 }
 
@@ -184,21 +213,9 @@ func (j *HashJoin) Narrow(need []bool) []int { return j.emit.Narrow(need) }
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Context) error {
-	j.useTable = ctx.Kernels
-	j.emit.arenaOn = j.useTable
-	if j.useTable && j.rkern == nil && j.Residual != nil {
-		// Compile once, before BindParams rewrites Param slots to
-		// literals; Bind refreshes the bindings on every re-Open.
-		j.rkern = expr.CompilePred(j.Residual)
-	}
-	if j.rkern != nil {
-		j.rkern.Bind(ctx.Params)
-	}
+	j.rkern = compiled(j.rkern, j.Residual, ctx.Params)
 	j.Residual = expr.BindParams(j.Residual, ctx.Params)
-	j.table = nil
 	j.probe = nil
-	j.bucket = nil
-	j.bpos = 0
 	j.chain = -1
 	j.buildRows = nil
 	j.pbuf.Reset()
@@ -207,95 +224,37 @@ func (j *HashJoin) Open(ctx *Context) error {
 	if err != nil {
 		return err
 	}
-	if j.useTable {
-		j.buildRows = rows
-		j.ht.Init(j.BuildSizeHint)
-		j.heads = j.heads[:0]
-		j.tails = j.tails[:0]
-		if cap(j.nextRow) < len(rows) {
-			j.nextRow = make([]int32, 0, len(rows))
-		}
-		j.nextRow = j.nextRow[:0]
-		for i, r := range rows {
-			j.keyBuf = r.AppendKey(j.keyBuf[:0], j.LeftKeys)
-			id, added := j.ht.Insert(j.keyBuf)
-			j.nextRow = append(j.nextRow, -1)
-			if added {
-				j.heads = append(j.heads, int32(i))
-				j.tails = append(j.tails, int32(i))
-			} else {
-				j.nextRow[j.tails[id]] = int32(i)
-				j.tails[id] = int32(i)
-			}
-		}
-	} else {
-		j.table = make(map[string][]value.Row, j.BuildSizeHint)
-		for _, r := range rows {
-			k := r.Key(j.LeftKeys)
-			j.table[k] = append(j.table[k], r)
-		}
-	}
+	j.buildRows = rows
+	j.table.build(rows, j.LeftKeys, j.BuildSizeHint)
 	ctx.Counter.CPUTuples += int64(len(rows))
 	return j.Right.Open(ctx)
 }
 
 // match runs build candidate l against the current probe row through
-// the residual — compiled when the kernel path is active, so both
-// engines run the same code — and builds the kept row in the configured
-// layout, arena-backed on the kernel path.
+// the compiled residual and builds the kept row in the configured
+// layout.
 func (j *HashJoin) match(l value.Row) (value.Row, bool, error) {
 	first, second := l, j.probe
 	if j.EmitProbeFirst {
 		first, second = j.probe, l
 	}
-	var kern *expr.Pred
-	if j.useTable {
-		kern = j.rkern
-	}
-	return j.emit.Match(first, second, j.Residual, kern)
+	return j.emit.Match(first, second, j.Residual, j.rkern)
 }
 
 // probeKey positions the bucket cursor for probe row r.
 func (j *HashJoin) probeKey(r value.Row) {
 	j.probe = r
-	if j.useTable {
-		j.keyBuf = r.AppendKey(j.keyBuf[:0], j.RightKeys)
-		if id := j.ht.Lookup(j.keyBuf); id >= 0 {
-			j.chain = j.heads[id]
-		} else {
-			j.chain = -1
-		}
-		return
-	}
-	j.bucket = j.table[r.Key(j.RightKeys)]
-	j.bpos = 0
-}
-
-// hasCandidate reports whether the current bucket has unconsumed build
-// rows.
-func (j *HashJoin) hasCandidate() bool {
-	if j.useTable {
-		return j.chain >= 0
-	}
-	return j.bpos < len(j.bucket)
+	j.chain = j.table.head(r, j.RightKeys)
 }
 
 // nextCandidate pops the next build row of the current bucket, false
 // when the bucket is exhausted.
 func (j *HashJoin) nextCandidate() (value.Row, bool) {
-	if j.useTable {
-		if j.chain < 0 {
-			return nil, false
-		}
-		l := j.buildRows[j.chain]
-		j.chain = j.nextRow[j.chain]
-		return l, true
-	}
-	if j.bpos >= len(j.bucket) {
+	if j.chain < 0 {
 		return nil, false
 	}
-	l := j.bucket[j.bpos]
-	j.bpos++
+	l := j.buildRows[j.chain]
+	j.chain = j.table.next[j.chain]
 	return l, true
 }
 
@@ -338,7 +297,7 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
 	for {
-		for j.hasCandidate() {
+		for j.chain >= 0 {
 			if len(dst.Rows) >= max {
 				return nil
 			}
@@ -377,7 +336,6 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 
 // Close implements Operator.
 func (j *HashJoin) Close(ctx *Context) error {
-	j.table = nil
 	j.buildRows = nil
 	return j.Right.Close(ctx)
 }
@@ -664,7 +622,7 @@ func NewParallelHashJoin(left, right Operator, leftKeys, rightKeys []int, residu
 		RightKeys: rightKeys,
 		Residual:  residual,
 		DOP:       clampDOP(dop),
-		emit:      NewJoinOutput(left.Schema(), right.Schema()),
+		emit:      NewJoinOutput(left.Schema(), right.Schema()).withArena(),
 	}
 }
 
@@ -673,7 +631,7 @@ func NewParallelHashJoin(left, right Operator, leftKeys, rightKeys []int, residu
 func NewParallelHashJoinProbeFirst(left, right Operator, leftKeys, rightKeys []int, residual expr.Expr, dop int) *ParallelHashJoin {
 	j := NewParallelHashJoin(left, right, leftKeys, rightKeys, residual, dop)
 	j.EmitProbeFirst = true
-	j.emit = NewJoinOutput(right.Schema(), left.Schema())
+	j.emit = NewJoinOutput(right.Schema(), left.Schema()).withArena()
 	return j
 }
 
@@ -683,38 +641,35 @@ func (j *ParallelHashJoin) Schema() *schema.Schema { return j.emit.Schema() }
 // Narrow implements Narrower.
 func (j *ParallelHashJoin) Narrow(need []bool) []int { return j.emit.Narrow(need) }
 
-// joinWorker builds this worker's hash table and probes it, charging the
-// worker context the serial HashJoin's per-row units (accumulated
-// locally and flushed once per worker — exact, since the components are
-// int64). Output rows are tagged with their probe ordinal so the merge
-// can restore probe order; each ordinal belongs to exactly one worker.
+// joinWorker builds this worker's private chainTable over its build
+// partition and probes it, charging the worker context the serial
+// HashJoin's per-row units — one CPU operation per build row, per probe
+// row, per bucket candidate — accumulated locally and flushed once per
+// worker (exact, since the components are int64). Joined rows are built
+// on a private fork of the output. The shared compiled residual is only
+// read (EvalRow holds no scratch), so workers evaluate it concurrently.
+// Output rows are tagged with their probe ordinal so the merge can
+// restore probe order; each ordinal belongs to exactly one worker.
 func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []value.Row, probeOrds []int) ([]taggedRow, error) {
-	if wctx.Kernels {
-		return j.joinWorkerTable(wctx, build, probe, probeOrds)
-	}
 	var cpu int64
 	defer func() { wctx.Counter.CPUTuples += cpu }()
 	hint := 0
 	if j.BuildSizeHint > 0 {
 		hint = j.BuildSizeHint/clampDOP(j.DOP) + 1
 	}
-	table := make(map[string][]value.Row, hint)
-	for _, r := range build {
-		cpu++
-		k := r.Key(j.LeftKeys)
-		table[k] = append(table[k], r)
-	}
-	emit := j.emit.fork(false)
+	var table chainTable
+	table.build(build, j.LeftKeys, hint)
+	cpu += int64(len(build))
+	emit := j.emit.fork()
 	var out []taggedRow
 	for i, r := range probe {
 		if err := wctx.Err(); err != nil {
 			return out, err
 		}
 		cpu++
-		bucket := table[r.Key(j.RightKeys)]
-		for _, l := range bucket {
+		for chain := table.head(r, j.RightKeys); chain >= 0; chain = table.next[chain] {
 			cpu++
-			joined, keep, err := j.match(&emit, r, l, nil)
+			joined, keep, err := j.match(&emit, r, build[chain])
 			if err != nil {
 				return out, err
 			}
@@ -726,86 +681,23 @@ func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []
 	return out, nil
 }
 
-// match runs build candidate l against probe row r through the residual
-// and builds the kept row in the configured layout on the worker's
-// private output.
-func (j *ParallelHashJoin) match(emit *JoinOutput, r, l value.Row, kern *expr.Pred) (value.Row, bool, error) {
+// match runs build candidate l against probe row r through the compiled
+// residual and builds the kept row in the configured layout on the
+// worker's private output.
+func (j *ParallelHashJoin) match(emit *JoinOutput, r, l value.Row) (value.Row, bool, error) {
 	if j.EmitProbeFirst {
-		return emit.Match(r, l, j.Residual, kern)
+		return emit.Match(r, l, j.Residual, j.rkern)
 	}
-	return emit.Match(l, r, j.Residual, kern)
-}
-
-// joinWorkerTable is the kernel-path worker: a worker-private RowTable
-// with bucket chains over the build partition, one key scratch buffer,
-// and a private arena-backed output for joined rows. Charges are identical to the map path —
-// one CPU operation per build row, per probe row, per bucket candidate.
-// The shared compiled residual is only read (EvalRow holds no scratch),
-// so workers may evaluate it concurrently.
-func (j *ParallelHashJoin) joinWorkerTable(wctx *Context, build []value.Row, probe []value.Row, probeOrds []int) ([]taggedRow, error) {
-	var cpu int64
-	defer func() { wctx.Counter.CPUTuples += cpu }()
-	hint := 0
-	if j.BuildSizeHint > 0 {
-		hint = j.BuildSizeHint/clampDOP(j.DOP) + 1
-	}
-	var ht RowTable
-	ht.Init(hint)
-	var heads, tails []int32
-	nextRow := make([]int32, 0, len(build))
-	var keyBuf []byte
-	emit := j.emit.fork(true)
-	for i, r := range build {
-		cpu++
-		keyBuf = r.AppendKey(keyBuf[:0], j.LeftKeys)
-		id, added := ht.Insert(keyBuf)
-		nextRow = append(nextRow, -1)
-		if added {
-			heads = append(heads, int32(i))
-			tails = append(tails, int32(i))
-		} else {
-			nextRow[tails[id]] = int32(i)
-			tails[id] = int32(i)
-		}
-	}
-	var out []taggedRow
-	for i, r := range probe {
-		if err := wctx.Err(); err != nil {
-			return out, err
-		}
-		cpu++
-		keyBuf = r.AppendKey(keyBuf[:0], j.RightKeys)
-		chain := int32(-1)
-		if id := ht.Lookup(keyBuf); id >= 0 {
-			chain = heads[id]
-		}
-		for chain >= 0 {
-			l := build[chain]
-			chain = nextRow[chain]
-			cpu++
-			joined, keep, err := j.match(&emit, r, l, j.rkern)
-			if err != nil {
-				return out, err
-			}
-			if keep {
-				out = append(out, taggedRow{ord: probeOrds[i], row: joined})
-			}
-		}
-	}
-	return out, nil
+	return emit.Match(l, r, j.Residual, j.rkern)
 }
 
 // Open implements Operator: drain both children in the calling context,
 // co-partition on the join keys, fan out, absorb worker counters, and
 // assemble the output in probe order.
 func (j *ParallelHashJoin) Open(ctx *Context) error {
-	if ctx.Kernels && j.rkern == nil && j.Residual != nil {
-		j.rkern = expr.CompilePred(j.Residual)
-	}
-	if j.rkern != nil {
-		j.rkern.Bind(ctx.Params) // before worker fan-out
-	}
-	j.Residual = expr.BindParams(j.Residual, ctx.Params) // before worker fan-out
+	// Both before worker fan-out.
+	j.rkern = compiled(j.rkern, j.Residual, ctx.Params)
+	j.Residual = expr.BindParams(j.Residual, ctx.Params)
 	j.results = nil
 	j.pos = 0
 	buildRows, err := Drain(ctx, j.Left)

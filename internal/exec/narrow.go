@@ -113,8 +113,9 @@ type JoinOutput struct {
 	secondIdx     []int // emitGather: emitted positions within the second row
 
 	// arenaOn carves materialized rows from arena (one slab allocation
-	// per few thousand values, for joins that emit many rows per Open)
-	// instead of one heap allocation per row.
+	// per few thousand values) instead of one heap allocation per row.
+	// The hash joins, which emit many rows per Open, turn it on at
+	// construction; the other joins keep heap rows.
 	arenaOn bool
 	arena   value.RowArena
 	scratch value.Row // residual input, reused for every candidate
@@ -125,6 +126,12 @@ type JoinOutput struct {
 func NewJoinOutput(first, second *schema.Schema) JoinOutput {
 	full := first.Concat(second)
 	return JoinOutput{first: first, second: second, full: full, sch: full}
+}
+
+// withArena returns o with arena-carved output rows.
+func (o JoinOutput) withArena() JoinOutput {
+	o.arenaOn = true
+	return o
 }
 
 // Schema returns the emitted layout.
@@ -192,9 +199,9 @@ func (o *JoinOutput) Narrow(need []bool) []int {
 
 // fork returns a copy for a concurrent worker: the emit lists are shared
 // read-only, the arena and the residual scratch are private.
-func (o *JoinOutput) fork(arena bool) JoinOutput {
+func (o *JoinOutput) fork() JoinOutput {
 	c := *o
-	c.arenaOn, c.arena, c.scratch = arena, value.RowArena{}, nil
+	c.arena, c.scratch = value.RowArena{}, nil
 	return c
 }
 

@@ -137,9 +137,8 @@ type narrowRun struct {
 	err  string
 }
 
-func runNarrow(op Operator, kernels bool, batch int) narrowRun {
+func runNarrow(op Operator, batch int) narrowRun {
 	ctx := NewContext()
-	ctx.Kernels = kernels
 	ctx.BatchSize = batch
 	rows, err := Drain(ctx, op)
 	run := narrowRun{cost: *ctx.Counter}
@@ -153,7 +152,7 @@ func runNarrow(op Operator, kernels bool, batch int) narrowRun {
 }
 
 // TestNarrowedTreesMatchFull is the emit contract's differential test:
-// for every join kind, residual, consumer, engine and batch size, with
+// for every join kind, residual, consumer and batch size, with
 // and without a truncating Limit, the narrowed tree produces the rows,
 // the row order, the error and the cost.Counter totals of the same tree
 // with narrowing blocked.
@@ -179,22 +178,20 @@ func TestNarrowedTreesMatchFull(t *testing.T) {
 						}
 						return op, join
 					}
-					for _, kernels := range []bool{false, true} {
-						for _, batch := range []int{1, DefaultBatchSize} {
-							name := fmt.Sprintf("%s/%s/%s/limit%d/kernels=%v/batch%d", j.name, res.name, c.name, limit, kernels, batch)
-							full, _ := build(false)
-							narrowed, join := build(true)
-							if join.Schema().Len() >= 6 {
-								t.Fatalf("%s: join was not narrowed (width %d)", name, join.Schema().Len())
-							}
-							want := runNarrow(full, kernels, batch)
-							got := runNarrow(narrowed, kernels, batch)
-							if res.name == "error" && want.err == "" {
-								t.Fatalf("%s: residual error did not surface", name)
-							}
-							if fmt.Sprint(got) != fmt.Sprint(want) {
-								t.Fatalf("%s:\n narrowed %v\n     full %v", name, got, want)
-							}
+					for _, batch := range []int{1, DefaultBatchSize} {
+						name := fmt.Sprintf("%s/%s/%s/limit%d/batch%d", j.name, res.name, c.name, limit, batch)
+						full, _ := build(false)
+						narrowed, join := build(true)
+						if join.Schema().Len() >= 6 {
+							t.Fatalf("%s: join was not narrowed (width %d)", name, join.Schema().Len())
+						}
+						want := runNarrow(full, batch)
+						got := runNarrow(narrowed, batch)
+						if res.name == "error" && want.err == "" {
+							t.Fatalf("%s: residual error did not surface", name)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("%s:\n narrowed %v\n     full %v", name, got, want)
 						}
 					}
 				}
@@ -214,24 +211,20 @@ func TestNarrowPassThrough(t *testing.T) {
 	if !p.pass || hj.Schema().Len() != 3 {
 		t.Fatalf("probe-only projection: pass=%v join width %d", p.pass, hj.Schema().Len())
 	}
-	for _, kernels := range []bool{false, true} {
-		ctx := NewContext()
-		ctx.Kernels = kernels
-		rows, err := Drain(ctx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) == 0 {
-			t.Fatal("no rows")
-		}
-		storageRow := map[*value.Value]bool{}
-		for _, sr := range r.Rows() {
-			storageRow[&sr[0]] = true
-		}
-		for _, row := range rows {
-			if !storageRow[&row[0]] {
-				t.Fatalf("kernels=%v: row %v was copied, want the probe's storage row", kernels, row)
-			}
+	rows, err := Drain(NewContext(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("no rows")
+	}
+	storageRow := map[*value.Value]bool{}
+	for _, sr := range r.Rows() {
+		storageRow[&sr[0]] = true
+	}
+	for _, row := range rows {
+		if !storageRow[&row[0]] {
+			t.Fatalf("row %v was copied, want the probe's storage row", row)
 		}
 	}
 
@@ -252,31 +245,28 @@ func TestNarrowPassThrough(t *testing.T) {
 func TestKeySetBuildNarrowsInput(t *testing.T) {
 	l := narrowTable(t, "l", 30, 5)
 	r := narrowTable(t, "r", 30, 7)
-	for _, kernels := range []bool{false, true} {
-		mk := func() *HashJoin {
-			return NewHashJoin(NewTableScan(l, "l"), NewTableScan(r, "r"), []int{0}, []int{0}, nil)
+	mk := func() *HashJoin {
+		return NewHashJoin(NewTableScan(l, "l"), NewTableScan(r, "r"), []int{0}, []int{0}, nil)
+	}
+	build := func(op Operator) ([]string, cost.Counter) {
+		ctx := NewContext()
+		ks, err := BuildKeySet(ctx, op, []int{sW, fK})
+		if err != nil {
+			t.Fatal(err)
 		}
-		build := func(op Operator) ([]string, cost.Counter) {
-			ctx := NewContext()
-			ctx.Kernels = kernels
-			ks, err := BuildKeySet(ctx, op, []int{sW, fK})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var keys []string
-			for _, k := range ks.Rows() {
-				keys = append(keys, k.String())
-			}
-			return keys, *ctx.Counter
+		var keys []string
+		for _, k := range ks.Rows() {
+			keys = append(keys, k.String())
 		}
-		hj := mk()
-		gotKeys, gotCost := build(hj)
-		wantKeys, wantCost := build(opaque{mk()})
-		if hj.Schema().Len() != 2 {
-			t.Fatalf("key-set input width %d, want 2", hj.Schema().Len())
-		}
-		if fmt.Sprint(gotKeys, gotCost) != fmt.Sprint(wantKeys, wantCost) {
-			t.Fatalf("kernels=%v: narrowed %v %v, full %v %v", kernels, gotKeys, gotCost, wantKeys, wantCost)
-		}
+		return keys, *ctx.Counter
+	}
+	hj := mk()
+	gotKeys, gotCost := build(hj)
+	wantKeys, wantCost := build(opaque{mk()})
+	if hj.Schema().Len() != 2 {
+		t.Fatalf("key-set input width %d, want 2", hj.Schema().Len())
+	}
+	if fmt.Sprint(gotKeys, gotCost) != fmt.Sprint(wantKeys, wantCost) {
+		t.Fatalf("narrowed %v %v, full %v %v", gotKeys, gotCost, wantKeys, wantCost)
 	}
 }

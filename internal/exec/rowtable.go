@@ -2,11 +2,12 @@ package exec
 
 import "filterjoin/internal/value"
 
-// RowTable is the allocation-free replacement for the map[string]-keyed
-// hash paths (DESIGN.md §14): an open-addressing table over 64-bit FNV
-// hashes of canonical key encodings (value.Row.AppendKey), with the key
-// bytes themselves packed into one arena and verified in full on every
-// hash hit — so its equality relation is exactly the string map's.
+// RowTable is the executor's one hash table (DESIGN.md §14), behind
+// every hash join, GroupBy, Distinct and KeySet: an open-addressing
+// table over 64-bit FNV hashes of canonical key encodings
+// (value.Row.AppendKey), with the key bytes themselves packed into one
+// arena and verified in full on every hash hit — so two keys are equal
+// exactly when their canonical encodings are.
 // Values never live in the table: it assigns each distinct key a dense
 // id (0, 1, 2, …) in first-insertion order, and operators index their
 // own payload slices (bucket chains, group states) by that id.

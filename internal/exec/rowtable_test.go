@@ -73,7 +73,7 @@ func TestRowTableGrowAndReinit(t *testing.T) {
 // build whose BuildSizeHint covers the build-side cardinality never
 // rehashes, and the same holds for a hinted GroupBy. This is the
 // regression guard for threading optimizer cardinality estimates into
-// the kernel-path hash tables.
+// the hash tables.
 func TestHashJoinHintedBuildNoRehash(t *testing.T) {
 	const n = 5000
 	rows := make([][]int64, n)
@@ -86,15 +86,14 @@ func TestHashJoinHintedBuildNoRehash(t *testing.T) {
 	j := NewHashJoin(NewTableScan(build, ""), NewTableScan(probe, ""), []int{0}, []int{0}, nil)
 	j.BuildSizeHint = n
 	ctx := NewContext()
-	ctx.Kernels = true
 	if err := j.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if g := j.ht.Grows(); g != 0 {
+	if g := j.table.ht.Grows(); g != 0 {
 		t.Errorf("hinted HashJoin build grew %d times, want 0", g)
 	}
-	if j.ht.Len() != n {
-		t.Errorf("build table has %d keys, want %d", j.ht.Len(), n)
+	if j.table.ht.Len() != n {
+		t.Errorf("build table has %d keys, want %d", j.table.ht.Len(), n)
 	}
 	if err := j.Close(ctx); err != nil {
 		t.Fatal(err)

@@ -14,10 +14,10 @@ import (
 	"filterjoin/internal/value"
 )
 
-// E19Batches is the executor batch-size sweep E19 measures under both
-// expression engines. 1 is the classic row engine (kernels only help
-// residual evaluation there), 64 a small morsel, 1024 the production
-// default where the selection-vector kernels amortize best.
+// E19Batches is the executor batch-size sweep E19 measures. 1 is the
+// classic row engine (evaluating the compiled predicate one row at a
+// time), 64 a small morsel, 1024 the production default where the
+// selection-vector kernels amortize best.
 var E19Batches = []int{1, 64, 1024}
 
 // e19Catalog builds the kernel benchmark tables: Big for the
@@ -57,13 +57,11 @@ func e19Allocs(f func() error) (uint64, error) {
 }
 
 // E19Kernels measures the compiled expression kernels and
-// allocation-free hash paths (DESIGN.md §14) against the interpreted
-// engine: for a filter-heavy scan and a join-heavy hash join, each
-// (batch size, kernels on/off) cell reports wall-clock, input-rows/sec,
-// speedup over the interpreted engine at the same batch size, and heap
-// allocations per thousand input rows — with rows and measured cost
-// counters enforced bit-identical across every cell, the repository's
-// standard parity bar.
+// allocation-free hash paths (DESIGN.md §14) across batch sizes: for a
+// filter-heavy scan and a join-heavy hash join, each batch size reports
+// wall-clock, input-rows/sec and heap allocations per thousand input
+// rows — with rows and measured cost counters enforced bit-identical
+// across every batch size, the repository's standard parity bar.
 func E19Kernels() (*Report, error) {
 	model := cost.DefaultModel()
 	nRows := e18Env("FILTERJOIN_E19_ROWS", 60000)
@@ -94,10 +92,9 @@ func E19Kernels() (*Report, error) {
 	}
 
 	r := &Report{
-		ID:    "E19",
-		Title: "Expression kernels: rows/sec and allocs, interpreted vs compiled",
-		Header: []string{"workload", "batch", "kernels", "wall ms", "Mrows/s",
-			"speedup", "allocs/krow", "parity"},
+		ID:     "E19",
+		Title:  "Expression kernels: rows/sec and allocs across batch sizes",
+		Header: []string{"workload", "batch", "wall ms", "Mrows/s", "allocs/krow", "parity"},
 	}
 
 	type workload struct {
@@ -116,63 +113,52 @@ func E19Kernels() (*Report, error) {
 		var baseRows int
 		haveBase := false
 		for _, batch := range E19Batches {
-			var interpWall float64
-			for _, kernels := range []bool{false, true} {
-				o := optimizer(cat, model, nil, w.disabled...)
-				o.BatchSize = batch
-				p, err := o.OptimizeBlock(w.block())
-				if err != nil {
-					return nil, fmt.Errorf("E19 %s batch=%d: %w", w.name, batch, err)
-				}
-				run := func() (int, cost.Counter, error) {
-					ctx := exec.NewContext()
-					ctx.BatchSize = batch
-					ctx.Kernels = kernels
-					n, err := exec.Count(ctx, p.Make())
-					return n, *ctx.Counter, err
-				}
-				wall, rows, c, err := bestOf(reps, run)
-				if err != nil {
-					return nil, fmt.Errorf("E19 %s batch=%d kernels=%t: %w", w.name, batch, kernels, err)
-				}
-				// Steady-state allocation count: reuse one operator tree,
-				// warm it up with a full drain, then measure a second drain.
-				op := p.Make()
-				drainOnce := func() error {
-					ctx := exec.NewContext()
-					ctx.BatchSize = batch
-					ctx.Kernels = kernels
-					_, err := exec.Count(ctx, op)
-					return err
-				}
-				if err := drainOnce(); err != nil {
-					return nil, fmt.Errorf("E19 %s warmup: %w", w.name, err)
-				}
-				allocs, err := e19Allocs(drainOnce)
-				if err != nil {
-					return nil, fmt.Errorf("E19 %s alloc run: %w", w.name, err)
-				}
-				if !haveBase {
-					baseCost, baseRows, haveBase = c, rows, true
-				} else if c != baseCost || rows != baseRows {
-					return nil, fmt.Errorf("E19 %s batch=%d kernels=%t: parity broken: %s / %d rows vs %s / %d",
-						w.name, batch, kernels, c.String(), rows, baseCost.String(), baseRows)
-				}
-				speedup := "-"
-				if !kernels {
-					interpWall = wall
-				} else {
-					speedup = f2(interpWall / wall)
-				}
-				r.AddRow(w.name, d(int64(batch)), yesNo(kernels), f2(wall*1000),
-					f2(float64(w.input)/wall/1e6), speedup,
-					f1(float64(allocs)/(float64(w.input)/1000)), yesNo(true))
+			o := optimizer(cat, model, nil, w.disabled...)
+			o.BatchSize = batch
+			p, err := o.OptimizeBlock(w.block())
+			if err != nil {
+				return nil, fmt.Errorf("E19 %s batch=%d: %w", w.name, batch, err)
 			}
+			run := func() (int, cost.Counter, error) {
+				ctx := exec.NewContext()
+				ctx.BatchSize = batch
+				n, err := exec.Count(ctx, p.Make())
+				return n, *ctx.Counter, err
+			}
+			wall, rows, c, err := bestOf(reps, run)
+			if err != nil {
+				return nil, fmt.Errorf("E19 %s batch=%d: %w", w.name, batch, err)
+			}
+			// Steady-state allocation count: reuse one operator tree,
+			// warm it up with a full drain, then measure a second drain.
+			op := p.Make()
+			drainOnce := func() error {
+				ctx := exec.NewContext()
+				ctx.BatchSize = batch
+				_, err := exec.Count(ctx, op)
+				return err
+			}
+			if err := drainOnce(); err != nil {
+				return nil, fmt.Errorf("E19 %s warmup: %w", w.name, err)
+			}
+			allocs, err := e19Allocs(drainOnce)
+			if err != nil {
+				return nil, fmt.Errorf("E19 %s alloc run: %w", w.name, err)
+			}
+			if !haveBase {
+				baseCost, baseRows, haveBase = c, rows, true
+			} else if c != baseCost || rows != baseRows {
+				return nil, fmt.Errorf("E19 %s batch=%d: parity broken: %s / %d rows vs %s / %d",
+					w.name, batch, c.String(), rows, baseCost.String(), baseRows)
+			}
+			r.AddRow(w.name, d(int64(batch)), f2(wall*1000),
+				f2(float64(w.input)/wall/1e6),
+				f1(float64(allocs)/(float64(w.input)/1000)), yesNo(true))
 		}
 	}
 
-	r.AddNote("speedup is interpreted wall / compiled wall at the same batch size, best of %d; the acceptance bar is >=2.0x filter-heavy and >=1.3x join-heavy at batch=1024 on the full-size workload (%d base rows)", reps, nRows)
-	r.AddNote("allocs/krow is the heap allocation count of a steady-state re-drain of a warmed operator tree per 1000 input rows (runtime Mallocs delta); the kernel paths' Filter/HashJoin/GroupBy per-row cost is allocation-free, so their figure stays near zero at large batch")
-	r.AddNote("parity: rows and measured cost counters are enforced bit-identical across every (batch, kernels) cell against the interpreted row engine (DESIGN.md §11, §14)")
+	r.AddNote("wall is the best of %d runs on %d base rows; BENCH_E19.json keeps the earlier interpreted-vs-compiled comparison that retired the interpreted engine", reps, nRows)
+	r.AddNote("allocs/krow is the heap allocation count of a steady-state re-drain of a warmed operator tree per 1000 input rows (runtime Mallocs delta); the Filter/HashJoin/GroupBy per-row cost is allocation-free, so the figure stays near zero at large batch")
+	r.AddNote("parity: rows and measured cost counters are enforced bit-identical across every batch size against the row engine (DESIGN.md §11, §14)")
 	return r, nil
 }

@@ -21,8 +21,8 @@ func TestAllExperimentsRun(t *testing.T) {
 	// cost of the concurrent sessions).
 	t.Setenv("FILTERJOIN_E18_QUERIES", "240")
 	// Likewise the kernel experiment: full-size tables give stable
-	// speedups, but the integration test only needs the parity
-	// enforcement to run across every (batch, kernels) cell.
+	// rows/sec figures, but the integration test only needs the parity
+	// enforcement to run across every batch size.
 	t.Setenv("FILTERJOIN_E19_ROWS", "6000")
 	t.Setenv("FILTERJOIN_E19_REPS", "1")
 	for _, e := range experiments.Registry {

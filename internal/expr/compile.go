@@ -8,8 +8,8 @@ import (
 
 // This file lowers a predicate Expr tree once into a Pred: a small tree
 // of kernels that evaluate a whole batch of rows against a selection
-// vector (DESIGN.md §14). The contract with the interpreted engine is
-// bit-identical behavior:
+// vector (DESIGN.md §14). The contract with the tree interpreter
+// (Expr.Eval, EvalBool) is bit-identical behavior:
 //
 //   - a row qualifies under SelectBatch iff EvalBool(e, row) is true;
 //   - when any row errors, the SAME error surfaces for the SAME row the
@@ -90,8 +90,8 @@ func (p *Pred) SelectBatch(rows []value.Row) (sel []int32, evaluated int, err er
 }
 
 // EvalRow evaluates the compiled predicate over a single row with
-// EvalBool semantics. Operators use it for residual predicates on the
-// row path so both engines run the same code.
+// EvalBool semantics. Operators use it on the row path and for join
+// residuals, so the row and batch engines run the same code.
 func (p *Pred) EvalRow(row value.Row) (bool, error) { return p.root.evalRow(row) }
 
 func compileKernel(e Expr) predKernel {
@@ -508,7 +508,7 @@ func (o *orKernel) evalRow(row value.Row) (bool, error) {
 
 // fallbackKernel interprets any shape the compiler does not specialize
 // (arithmetic, NOT over connectives, …) row by row via EvalBool, with
-// parameters substituted the same way the interpreted engine does.
+// parameters substituted by BindParams.
 type fallbackKernel struct {
 	orig  Expr
 	bound Expr

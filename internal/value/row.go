@@ -32,8 +32,9 @@ func (r Row) Concat(s Row) Row {
 }
 
 // Key returns a canonical string key for the projection of r onto idx,
-// suitable for use as a map key in hash joins and distinct projection.
-// Numerically equal ints and floats map to the same key.
+// suitable for use as a map key (storage indexes, UDR result caches).
+// Numerically equal ints and floats map to the same key. The executor's
+// hash operators use the allocation-free AppendKey form instead.
 func (r Row) Key(idx []int) string {
 	return string(r.AppendKey(nil, idx))
 }
