@@ -183,6 +183,24 @@ func BenchmarkOptimizeFig1NoFilterJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizePlanMiss measures one optimization of the
+// plan-miss-shaped four-relation block (Emp, Dept, the remote RemAvgSal
+// view, a second Dept, with E.sal > V.avgsal), the statement shape the
+// plan-miss workload plans on every cache miss.
+func BenchmarkOptimizePlanMiss(b *testing.B) {
+	o, blk := planMissOptimizer(b)
+	if _, err := o.OptimizeBlock(blk); err != nil {
+		b.Fatal(err) // warm statistics, view leaves and parametric costers
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.OptimizeBlock(blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExecuteFilterJoinPlan measures executing the Fig 1 query with
 // the Filter Join plan, end to end.
 func BenchmarkExecuteFilterJoinPlan(b *testing.B) {

@@ -11,6 +11,7 @@ import (
 	"filterjoin/internal/expr"
 	"filterjoin/internal/opt"
 	"filterjoin/internal/plan"
+	"filterjoin/internal/schema"
 	"filterjoin/internal/stats"
 	"filterjoin/internal/storage"
 )
@@ -146,16 +147,14 @@ func pagesOf(rows float64, rowBytes int) float64 {
 }
 
 // Candidates implements opt.JoinMethod: it proposes Filter Join plans for
-// joining outer with the inner relation, one per (attribute subset ×
-// representation) variant allowed by Limitation 3.
-func (m *Method) Candidates(c *opt.Ctx, outer *plan.Node, inner int) ([]*plan.Node, error) {
-	ri := c.Rels[inner]
+// joining the pair's outer with its inner relation, one per (attribute
+// subset × representation) variant allowed by Limitation 3.
+func (m *Method) Candidates(p *opt.JoinPair) ([]opt.Candidate, error) {
+	ri := p.Ctx.Rels[p.Inner]
 	if ri.Entry.Kind == catalog.KindBase && !m.Opts.IncludeStored {
 		return nil, nil
 	}
-	preds := c.ApplicablePreds(outer.Rels, inner)
-	allOuter, allInner, residualPreds := c.EquiSplit(preds, outer.Rels, inner)
-	if len(allOuter) == 0 {
+	if len(p.OuterCols) == 0 {
 		return nil, nil
 	}
 	// Equality closure can equate several outer columns with the same
@@ -163,10 +162,7 @@ func (m *Method) Candidates(c *opt.Ctx, outer *plan.Node, inner int) ([]*plan.No
 	// identical values), but the alternatives matter for prefix
 	// production sets, where only some equality-class members exist in
 	// the prefix subplan.
-	var outerAlts [][]int
-	allOuter, allInner, outerAlts = dedupeByInner(allOuter, allInner)
-	rows, outStats := c.JoinResult(outer, inner, preds)
-	combined := c.CombinedColMap(outer, inner)
+	allOuter, allInner, outerAlts := dedupeByInner(p.OuterCols, p.InnerCols)
 
 	// Attribute-subset variants (Limitation 3): the full attribute set,
 	// plus each single attribute when enabled.
@@ -181,10 +177,10 @@ func (m *Method) Candidates(c *opt.Ctx, outer *plan.Node, inner int) ([]*plan.No
 	// prefix subplan of the outer when the relaxation is enabled.
 	prods := []*plan.Node{nil}
 	if m.Opts.PrefixProductionSets {
-		prods = append(prods, prefixChain(outer)...)
+		prods = append(prods, prefixChain(p.Outer)...)
 	}
 
-	var out []*plan.Node
+	var out []opt.Candidate
 	for _, prod := range prods {
 		for _, v := range variants {
 			var reprs []FilterRepr
@@ -195,12 +191,12 @@ func (m *Method) Candidates(c *opt.Ctx, outer *plan.Node, inner int) ([]*plan.No
 				reprs = append(reprs, ReprBloom)
 			}
 			for _, repr := range reprs {
-				n, err := m.buildCandidate(c, outer, prod, inner, preds, allOuter, allInner, outerAlts, v, repr, residualPreds, rows, outStats, combined)
+				cand, ok, err := m.candidate(p, prod, allOuter, allInner, outerAlts, v, repr)
 				if err != nil {
 					return nil, err
 				}
-				if n != nil {
-					out = append(out, n)
+				if ok {
+					out = append(out, cand)
 					m.mu.Lock()
 					m.Metrics.CandidatesBuilt++
 					m.mu.Unlock()
@@ -258,14 +254,16 @@ func allIdx(n int) []int {
 	return out
 }
 
-// buildCandidate assembles one Filter Join plan node with the full
-// Table 1 cost breakdown. prod is the production-set subplan; nil means
-// the full outer (Limitation 2).
-func (m *Method) buildCandidate(
-	c *opt.Ctx, outer, prod *plan.Node, inner int, preds []*opt.PredInfo,
+// candidate prices one Filter Join variant with the full Table 1 cost
+// breakdown; its node is built only if the memo keeps it. prod is the
+// production-set subplan; nil means the full outer (Limitation 2).
+// Every step that can fail (view bindings, the parametric coster, the
+// filter schema) runs here, before the keep decision.
+func (m *Method) candidate(
+	p *opt.JoinPair, prod *plan.Node,
 	allOuter, allInner []int, outerAlts [][]int, variant []int, repr FilterRepr,
-	residualPreds []*opt.PredInfo, rows float64, outStats *stats.RelStats, combined []int,
-) (*plan.Node, error) {
+) (opt.Candidate, bool, error) {
+	c, outer, inner := p.Ctx, p.Outer, p.Inner
 	prefix := prod != nil
 	if prod == nil {
 		prod = outer
@@ -288,7 +286,7 @@ func (m *Method) buildCandidate(
 			}
 		}
 		if chosen < 0 {
-			return nil, nil
+			return opt.Candidate{}, false, nil
 		}
 		filterOuter[i] = chosen
 	}
@@ -296,14 +294,10 @@ func (m *Method) buildCandidate(
 	for i, col := range filterInner {
 		innerLocal[i] = col - ri.Offset
 	}
-	allInnerLocal := make([]int, len(allInner))
-	for i, col := range allInner {
-		allInnerLocal[i] = col - ri.Offset
-	}
 
 	// Function relations need every argument bound by the filter set.
 	if e.Kind == catalog.KindFunc && !coversArgs(e.ArgCols, innerLocal) {
-		return nil, nil
+		return opt.Candidate{}, false, nil
 	}
 
 	// View bindings must have direct provenance into the body.
@@ -311,21 +305,16 @@ func (m *Method) buildCandidate(
 	if e.Kind == catalog.KindView {
 		bc, ok, err := viewBindings(c.O.Cat, e, innerLocal)
 		if err != nil {
-			return nil, err
+			return opt.Candidate{}, false, err
 		}
 		if !ok {
-			return nil, nil
+			return opt.Candidate{}, false, nil
 		}
 		bodyCols = bc
 	}
 
-	outerFilterPos, ok := opt.OuterKeyPositions(prod, filterOuter)
-	if !ok {
-		return nil, nil
-	}
-	outerAllPos, ok := opt.OuterKeyPositions(outer, allOuter)
-	if !ok {
-		return nil, nil
+	if !opt.KeysAvailable(prod, filterOuter) || !opt.KeysAvailable(outer, allOuter) {
+		return opt.Candidate{}, false, nil
 	}
 
 	// ---- Cardinalities -------------------------------------------------
@@ -411,7 +400,6 @@ func (m *Method) buildCandidate(
 		restrictRows float64
 		access       InnerAccess
 		chosenIx     *storage.HashIndex
-		ixOuterPerm  []int // permutation: index col order -> position in filter key row
 	)
 	switch e.Kind {
 	case catalog.KindBase, catalog.KindRemote:
@@ -426,16 +414,7 @@ func (m *Method) buildCandidate(
 		comp.FilterCostRk = scanEst
 		access = AccessScanFilter
 		if repr == ReprExact {
-			if ix := pickIndexOn(t, innerLocal); ix != nil {
-				keyCardDistincts := make([]float64, len(ix.Cols()))
-				for i, col := range ix.Cols() {
-					keyCardDistincts[i] = raw.DistinctOf(col)
-				}
-				keyCard := stats.ProjectionCardinality(raw.Rows, keyCardDistincts)
-				if keyCard < 1 {
-					keyCard = 1
-				}
-				k := raw.Rows / keyCard
+			if ix, k := opt.PickIndex(ri, filterInner); ix != nil {
 				var run float64
 				if len(ix.Cols()) > 0 {
 					run = raw.SortedRunOn(ix.Cols()[0])
@@ -452,7 +431,6 @@ func (m *Method) buildCandidate(
 					comp.FilterCostRk = ixEst
 					access = AccessIndexProbe
 					chosenIx = ix
-					ixOuterPerm = indexPermutation(ix.Cols(), innerLocal)
 				}
 			}
 		}
@@ -470,7 +448,7 @@ func (m *Method) buildCandidate(
 	case catalog.KindView:
 		vc, hit, err := m.viewCosterFor(c, ri, innerLocal, bodyCols)
 		if err != nil {
-			return nil, err
+			return opt.Candidate{}, false, err
 		}
 		m.mu.Lock()
 		if hit {
@@ -513,11 +491,11 @@ func (m *Method) buildCandidate(
 		access = AccessFuncCalls
 
 	default:
-		return nil, nil
+		return opt.Candidate{}, false, nil
 	}
 
 	// ---- FinalJoinCost --------------------------------------------------
-	comp.FinalJoinCost = cost.Estimate{CPUTuples: restrictRows + outer.Rows + rows}
+	comp.FinalJoinCost = cost.Estimate{CPUTuples: restrictRows + outer.Rows + p.Rows}
 
 	ch := &Choice{
 		InnerName:        e.Name,
@@ -540,37 +518,13 @@ func (m *Method) buildCandidate(
 		ch.ProductionRels = prod.Rels.Members()
 	}
 
-	op := &fjExecSpec{
-		method:         m,
-		o:              c.O,
-		entry:          e,
-		choice:         ch,
-		outerMake:      outer.Make,
-		outerRows:      outer.Rows,
-		outerNode:      outer,
-		alias:          ri.Ref.Binding(),
-		outerFilterPos: outerFilterPos,
-		outerAllPos:    outerAllPos,
-		innerFilterLoc: innerLocal,
-		innerAllLoc:    allInnerLocal,
-		residual:       opt.ResidualExpr(residualPreds, combined),
-		localPred:      relLocalPred(ri),
-		index:          chosenIx,
-		ixPerm:         ixOuterPerm,
-		bodyCols:       bodyCols,
-		keyBytes:       keyBytes,
-		filterBytes:    filterBytes,
-	}
-	if prefix {
-		op.filterMake = prod.Make
-		op.filterRows = prod.Rows
-	}
+	var fSchema *schema.Schema
 	if e.Kind == catalog.KindView {
 		fs, err := filterSchema(c.O.Cat, e, innerLocal)
 		if err != nil {
-			return nil, err
+			return opt.Candidate{}, false, err
 		}
-		op.fSchema = fs
+		fSchema = fs
 	}
 
 	m.mu.Lock()
@@ -578,31 +532,65 @@ func (m *Method) buildCandidate(
 		m.Trace(ch, model.TotalEstimate(comp.Total()))
 	}
 	m.mu.Unlock()
+	detail := func() string { return e.Name + ": " + ch.String() }
 	if c.O.Traces() {
 		c.O.Emit(opt.TraceEvent{Kind: opt.EvFJVariant,
-			Subset: c.RelSetName(outer.Rels.With(inner)),
+			Subset: c.RelSetName(p.Rels()),
 			Method: "filterjoin",
-			Detail: e.Name + ": " + ch.String(),
+			Detail: detail(),
 			Cost:   model.TotalEstimate(comp.Total())})
 	}
-	return plan.NewNode(&plan.Node{
-		Kind:      "FilterJoin",
-		Detail:    e.Name + ": " + ch.String(),
-		Children:  []*plan.Node{outer},
-		Est:       comp.Total(),
-		Rows:      rows,
-		Stats:     outStats,
-		OutSchema: outer.OutSchema.Concat(ri.Schema),
-		ColMap:    combined,
-		Rels:      outer.Rels.With(inner),
+	return opt.Candidate{
+		Kind: "FilterJoin",
+		Est:  comp.Total(),
 		// The final join-back probes a hash of the restricted inner with
 		// the streamed outer, so the outer's physical order survives the
 		// Filter Join — extended across the equi-join columns — and magic
 		// plans compete in the same order-property buckets as direct joins.
 		Ordering: outer.Ordering.ExtendEquiv(allOuter, allInner),
-		Make:     op.make,
-		Extra:    ch,
-	}), nil
+		Detail:   detail,
+		Build: func(n *plan.Node) {
+			p.Shape(n, outer)
+			allInnerLocal := make([]int, len(allInner))
+			for i, col := range allInner {
+				allInnerLocal[i] = col - ri.Offset
+			}
+			outerFilterPos, _ := opt.OuterKeyPositions(prod, filterOuter)
+			outerAllPos, _ := opt.OuterKeyPositions(outer, allOuter)
+			var ixPerm []int // index col order -> position in filter key row
+			if chosenIx != nil {
+				ixPerm = indexPermutation(chosenIx.Cols(), innerLocal)
+			}
+			op := &fjExecSpec{
+				method:         m,
+				o:              c.O,
+				entry:          e,
+				choice:         ch,
+				outerMake:      outer.Make,
+				outerRows:      outer.Rows,
+				outerNode:      outer,
+				alias:          ri.Ref.Binding(),
+				outerFilterPos: outerFilterPos,
+				outerAllPos:    outerAllPos,
+				innerFilterLoc: innerLocal,
+				innerAllLoc:    allInnerLocal,
+				residual:       opt.ResidualExpr(p.Residual, p.ColMap()),
+				localPred:      relLocalPred(ri),
+				index:          chosenIx,
+				ixPerm:         ixPerm,
+				bodyCols:       bodyCols,
+				fSchema:        fSchema,
+				keyBytes:       keyBytes,
+				filterBytes:    filterBytes,
+			}
+			if prefix {
+				op.filterMake = prod.Make
+				op.filterRows = prod.Rows
+			}
+			n.Make = op.make
+			n.Extra = ch
+		},
+	}, true, nil
 }
 
 func coversArgs(argCols, innerLocal []int) bool {
@@ -623,28 +611,6 @@ func relLocalPred(ri *opt.RelInfo) expr.Expr {
 		return nil
 	}
 	return expr.Remap(ri.LocalPred, ri.ColMap)
-}
-
-// pickIndexOn selects an index whose key columns are a subset of cols.
-func pickIndexOn(t *storage.Table, cols []int) *storage.HashIndex {
-	have := map[int]bool{}
-	for _, c := range cols {
-		have[c] = true
-	}
-	var best *storage.HashIndex
-	for _, ix := range t.Indexes() {
-		ok := true
-		for _, c := range ix.Cols() {
-			if !have[c] {
-				ok = false
-				break
-			}
-		}
-		if ok && (best == nil || len(ix.Cols()) > len(best.Cols())) {
-			best = ix
-		}
-	}
-	return best
 }
 
 // indexPermutation maps each index key column to its position within the

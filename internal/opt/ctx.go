@@ -608,9 +608,9 @@ func (c *Ctx) ApplicablePreds(outer query.RelSet, inner int) []*PredInfo {
 	return out
 }
 
-// EquiSplit partitions applicable predicates into equi-join pairs
+// equiSplit partitions applicable predicates into equi-join pairs
 // (outer block column, inner block column) and residual predicates.
-func (c *Ctx) EquiSplit(preds []*PredInfo, outer query.RelSet, inner int) (outerCols, innerCols []int, residual []*PredInfo) {
+func (c *Ctx) equiSplit(preds []*PredInfo, outer query.RelSet, inner int) (outerCols, innerCols []int, residual []*PredInfo) {
 	innerRel := c.Rels[inner]
 	for _, p := range preds {
 		if p.EquiL >= 0 {
@@ -665,11 +665,9 @@ func (c *Ctx) sideDistinct(col int, outer *plan.Node, ri *RelInfo) float64 {
 	return c.DistinctOfBlockCol(outer, col)
 }
 
-// JoinResult computes the standard estimate for joining outer with the
-// inner relation under the applicable predicates: output rows and output
-// stats (outer columns followed by inner columns).
-func (c *Ctx) JoinResult(outer *plan.Node, inner int, preds []*PredInfo) (float64, *stats.RelStats) {
-	ri := c.Rels[inner]
+// joinRows estimates the output cardinality of joining outer with the
+// inner relation under the applicable predicates.
+func (c *Ctx) joinRows(outer *plan.Node, inner int, preds []*PredInfo) float64 {
 	sel := 1.0
 	counted := map[int]bool{}
 	for _, p := range preds {
@@ -683,10 +681,17 @@ func (c *Ctx) JoinResult(outer *plan.Node, inner int, preds []*PredInfo) (float6
 		}
 		sel *= c.PredSelectivity(p, outer, inner)
 	}
-	rows := outer.Rows * ri.FilteredRows * sel
+	rows := outer.Rows * c.Rels[inner].FilteredRows * sel
 	if rows < 0 {
 		rows = 0
 	}
+	return rows
+}
+
+// joinStats derives the output statistics (outer columns followed by
+// inner columns) of a join estimated at rows output rows.
+func (c *Ctx) joinStats(outer *plan.Node, inner int, preds []*PredInfo, rows float64) *stats.RelStats {
+	ri := c.Rels[inner]
 	outStats := outer.Stats
 	if outStats == nil {
 		outStats = &stats.RelStats{Rows: outer.Rows, Cols: make([]stats.ColStats, outer.OutSchema.Len())}
@@ -714,7 +719,7 @@ func (c *Ctx) JoinResult(outer *plan.Node, inner int, preds []*PredInfo) (float6
 		combined.Cols[lp].Distinct = d
 		combined.Cols[rp].Distinct = d
 	}
-	return rows, combined
+	return combined
 }
 
 // combinedPos maps a block-layout column to its position in the
@@ -732,9 +737,9 @@ func (c *Ctx) combinedPos(col int, outer *plan.Node, ri *RelInfo, outerWidth int
 	return -1
 }
 
-// CombinedColMap returns the block-layout column map for a join output
+// combinedColMap returns the block-layout column map for a join output
 // laid out as outer columns followed by the inner relation's columns.
-func (c *Ctx) CombinedColMap(outer *plan.Node, inner int) []int {
+func (c *Ctx) combinedColMap(outer *plan.Node, inner int) []int {
 	ri := c.Rels[inner]
 	outerWidth := outer.OutSchema.Len()
 	out := make([]int, len(outer.ColMap))
@@ -767,12 +772,23 @@ func ResidualExpr(preds []*PredInfo, colMap []int) expr.Expr {
 // OuterKeyPositions maps block-layout key columns into positions within
 // the outer plan's output; returns false if any is unavailable.
 func OuterKeyPositions(outer *plan.Node, cols []int) ([]int, bool) {
+	if !KeysAvailable(outer, cols) {
+		return nil, false
+	}
 	out := make([]int, len(cols))
 	for i, c := range cols {
-		if c < 0 || c >= len(outer.ColMap) || outer.ColMap[c] < 0 {
-			return nil, false
-		}
 		out[i] = outer.ColMap[c]
 	}
 	return out, true
+}
+
+// KeysAvailable reports whether every block-layout column in cols is
+// present in the plan's output.
+func KeysAvailable(n *plan.Node, cols []int) bool {
+	for _, c := range cols {
+		if c < 0 || c >= len(n.ColMap) || n.ColMap[c] < 0 {
+			return false
+		}
+	}
+	return true
 }

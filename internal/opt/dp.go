@@ -39,59 +39,64 @@ func sortedProps(tbl propTable) []string {
 // plan is no costlier AND delivers the candidate's order property; a
 // kept candidate conversely evicts entries it dominates. With order
 // properties disabled every plan lands in the "" bucket and this
-// reduces to the classic cheapest-per-subset rule. One call accounts
-// for one considered plan in Metrics and the trace.
-func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand *plan.Node) bool {
+// reduces to the classic cheapest-per-subset rule. The rule reads only
+// the candidate's estimate and ordering; its plan node is built only
+// when it is kept. One call accounts for one considered plan in Metrics
+// and the trace.
+func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand *Candidate) bool {
 	o.Metrics.PlansConsidered++
 	if len(tbl) == 0 {
 		o.Metrics.SubsetsExplored++
 	}
-	prop := ctx.interestingPrefix(cand.Ordering)
-	key := prop.Key()
-	candCost := cand.Total(o.Model)
+	candCost := o.Model.TotalEstimate(cand.Est)
 
 	kept := true
 	for _, e := range tbl {
-		if cost.LessEq(e.node.Total(o.Model), candCost) && e.node.Ordering.Satisfies(prop) {
+		if cost.LessEq(e.node.Total(o.Model), candCost) && ctx.deliversProp(e.node.Ordering, cand.Ordering) {
 			kept = false
 			break
 		}
 	}
+	var prop plan.Ordering
+	var detail string
 	if kept {
-		tbl[key] = &memoEntry{prop: prop, node: cand}
+		prop = ctx.interestingPrefix(cand.Ordering)
+		key := prop.Key()
 		// Evict entries the new plan dominates on both cost and order.
-		for _, k := range sortedProps(tbl) {
-			if k == key {
-				continue
-			}
-			e := tbl[k]
-			if cost.LessEq(candCost, e.node.Total(o.Model)) && cand.Ordering.Satisfies(e.prop) {
+		// Each eviction depends only on the candidate and the entry, so
+		// the walk order does not matter.
+		for k, e := range tbl {
+			if k != key && cost.LessEq(candCost, e.node.Total(o.Model)) && cand.Ordering.Satisfies(e.prop) {
 				delete(tbl, k)
 			}
 		}
+		n := cand.node()
+		tbl[key] = &memoEntry{prop: prop, node: n}
+		detail = n.Detail
+	} else if o.Traces() {
+		prop = ctx.interestingPrefix(cand.Ordering)
+		detail = cand.Detail()
 	}
 	if o.Traces() {
 		o.trace(TraceEvent{Kind: EvCandidate, Subset: ctx.RelSetName(ns),
-			Method: cand.Kind, Detail: cand.Detail,
+			Method: cand.Kind, Detail: detail,
 			Cost: candCost, Kept: kept, Prop: ctx.propName(prop)})
 	}
 	return kept
 }
 
-// candidatesFor collects every enabled join method's plans for
+// candidatesFor collects every enabled join method's candidates for
 // extending outer with the inner relation — the built-in methods plus
 // registered external ones (the Filter Join). Both the DP loop and the
 // forced-order path go through here.
-func (o *Optimizer) candidatesFor(ctx *Ctx, outer *plan.Node, inner int) ([]*plan.Node, error) {
-	cands, err := ctx.builtinCandidates(outer, inner)
-	if err != nil {
-		return nil, err
-	}
+func (o *Optimizer) candidatesFor(ctx *Ctx, outer *plan.Node, inner int) ([]Candidate, error) {
+	p := ctx.newJoinPair(outer, inner)
+	cands := ctx.builtinCandidates(p)
 	for _, m := range o.extra {
 		if !o.methodEnabled(m.Name()) {
 			continue
 		}
-		extra, err := m.Candidates(ctx, outer, inner)
+		extra, err := m.Candidates(p)
 		if err != nil {
 			return nil, err
 		}
@@ -166,8 +171,8 @@ func (o *Optimizer) runDP(ctx *Ctx) (propTable, error) {
 					if memo[ns] == nil {
 						memo[ns] = propTable{}
 					}
-					for _, cand := range cands {
-						o.keepCandidate(ctx, memo[ns], ns, cand)
+					for i := range cands {
+						o.keepCandidate(ctx, memo[ns], ns, &cands[i])
 					}
 				}
 			}
@@ -240,8 +245,8 @@ func (o *Optimizer) OptimizeBlockWithOrder(b *query.Block, order []int) (*plan.N
 			if err != nil {
 				return nil, err
 			}
-			for _, cand := range cands {
-				o.keepCandidate(ctx, next, ns, cand)
+			for i := range cands {
+				o.keepCandidate(ctx, next, ns, &cands[i])
 			}
 		}
 		if len(next) == 0 {

@@ -3,8 +3,10 @@ package opt
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"filterjoin/internal/catalog"
+	"filterjoin/internal/cost"
 	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
@@ -14,9 +16,6 @@ import (
 	"filterjoin/internal/storage"
 	"filterjoin/internal/udr"
 )
-
-// queryRelSet shortens method signatures in this file.
-type queryRelSet = query.RelSet
 
 // lg2 returns ceil(log2(n)) for n>1, else 0, as a float for CPU charges.
 func lg2(n float64) float64 {
@@ -38,201 +37,261 @@ func pagesOf(rows float64, rowBytes int) float64 {
 	return math.Ceil(rows / float64(rpp))
 }
 
-// builtinCandidates produces the standard join-method plans for joining
-// outer with the inner relation.
-func (c *Ctx) builtinCandidates(outer *plan.Node, inner int) ([]*plan.Node, error) {
-	ri := c.Rels[inner]
+// Candidate is one way to join an outer plan with an inner relation,
+// priced but not yet built. Kind, Est and Ordering are everything the
+// memo's dominance rule reads, so they are computed up front; the plan
+// node — schema, statistics, column map, remapped residual, operator
+// factory — is built only for a candidate the memo keeps (DESIGN.md
+// §18, "Cost before construction").
+type Candidate struct {
+	Kind     string
+	Est      cost.Estimate
+	Ordering plan.Ordering
+	// Detail renders the node's Detail string. The optimizer calls it
+	// for a kept candidate's node and, under a tracer, for the event of
+	// a pruned one.
+	Detail func() string
+	// Build completes a node that arrives with Kind, Detail, Est and
+	// Ordering already set: children, cardinality and statistics,
+	// output schema, column map, relation set and the Make factory.
+	// It runs only when the memo keeps the candidate, so it must not
+	// fail or touch optimizer state (temp names, traces, metrics).
+	Build func(n *plan.Node)
+}
+
+// node builds the candidate's plan node.
+func (cand *Candidate) node() *plan.Node {
+	n := &plan.Node{Kind: cand.Kind, Detail: cand.Detail(), Est: cand.Est, Ordering: cand.Ordering}
+	cand.Build(n)
+	return plan.NewNode(n)
+}
+
+// JoinPair is what every join method shares when extending one outer
+// plan with one inner relation: the applicable predicates, their split
+// into equi-join column pairs and residual predicates, and the output
+// cardinality. The output column map and statistics are computed on
+// first use, once per pair, so a pair none of whose candidates the memo
+// keeps never builds them.
+type JoinPair struct {
+	Ctx   *Ctx
+	Outer *plan.Node
+	Inner int // ordinal into Ctx.Rels
+
+	Preds     []*PredInfo // every predicate the join makes evaluable
+	OuterCols []int       // equi-join columns on the outer side (block layout)
+	InnerCols []int       // their inner-side partners
+	Residual  []*PredInfo // applicable predicates that are not equi pairs
+	Rows      float64     // estimated output cardinality
+
+	colMap   []int
+	outStats *stats.RelStats
+}
+
+func (c *Ctx) newJoinPair(outer *plan.Node, inner int) *JoinPair {
 	preds := c.ApplicablePreds(outer.Rels, inner)
-	outerCols, innerCols, residual := c.EquiSplit(preds, outer.Rels, inner)
-	rows, outStats := c.JoinResult(outer, inner, preds)
-	combined := c.CombinedColMap(outer, inner)
-	rels := outer.Rels.With(inner)
+	outerCols, innerCols, residual := c.equiSplit(preds, outer.Rels, inner)
+	return &JoinPair{
+		Ctx: c, Outer: outer, Inner: inner,
+		Preds: preds, OuterCols: outerCols, InnerCols: innerCols, Residual: residual,
+		Rows: c.joinRows(outer, inner, preds),
+	}
+}
+
+// Rels is the relation set the join covers.
+func (p *JoinPair) Rels() query.RelSet { return p.Outer.Rels.With(p.Inner) }
+
+// ColMap is the block-layout column map of the join output: the outer's
+// columns followed by the inner relation's.
+func (p *JoinPair) ColMap() []int {
+	if p.colMap == nil {
+		p.colMap = p.Ctx.combinedColMap(p.Outer, p.Inner)
+	}
+	return p.colMap
+}
+
+// Shape fills in the parts of a join node that every method shares: the
+// children, the estimated output cardinality and statistics, the output
+// schema (outer columns, then the inner relation's), the column map and
+// the relation set.
+func (p *JoinPair) Shape(n *plan.Node, children ...*plan.Node) {
+	if p.outStats == nil {
+		p.outStats = p.Ctx.joinStats(p.Outer, p.Inner, p.Preds, p.Rows)
+	}
+	n.Children = children
+	n.Rows = p.Rows
+	n.Stats = p.outStats
+	n.OutSchema = p.Outer.OutSchema.Concat(p.Ctx.Rels[p.Inner].Schema)
+	n.ColMap = p.ColMap()
+	n.Rels = p.Rels()
+}
+
+// builtinCandidates returns the standard join methods' candidates for
+// the pair.
+func (c *Ctx) builtinCandidates(p *JoinPair) []Candidate {
+	out := make([]Candidate, 0, 8) // room for the Filter Join's too
+	ri := c.Rels[p.Inner]
+	keyed := len(p.OuterCols) > 0
 
 	// Order propagation: every built-in method except the merge join
 	// streams its outer input, so the outer's retained ordering survives,
 	// widened by the columns the new equi predicates equate to its keys.
 	// The merge join instead produces the order of its own key sequence
-	// (see mergeJoinCand).
-	ext := outer.Ordering.ExtendEquiv(outerCols, innerCols)
+	// (see mergeJoin).
+	ext := p.Outer.Ordering.ExtendEquiv(p.OuterCols, p.InnerCols)
 
-	var cands []*plan.Node
-	add := func(n *plan.Node) {
-		if n != nil {
-			cands = append(cands, n)
+	add := func(cand Candidate, ok bool) {
+		if ok {
+			out = append(out, cand)
 		}
 	}
-
 	if ri.Access != nil {
-		if len(outerCols) > 0 {
-			if c.O.methodEnabled("hash") {
-				add(c.hashJoinCand(outer, ri, outerCols, innerCols, residual, rows, outStats, combined, rels, ext))
-			}
-			if c.O.methodEnabled("merge") {
-				if n := c.mergeJoinCand(outer, ri, outerCols, innerCols, residual, rows, outStats, combined, rels); n != nil {
-					cands = append(cands, n)
-				}
-			}
+		if keyed && c.O.methodEnabled("hash") {
+			add(p.hashJoin(ext))
+		}
+		if keyed && c.O.methodEnabled("merge") {
+			add(p.mergeJoin())
 		}
 		if c.O.methodEnabled("nlj") {
-			add(c.nljCand(outer, ri, preds, rows, outStats, combined, rels, ext))
+			out = append(out, p.nestedLoopJoin(ext))
 		}
 	}
-	if len(outerCols) > 0 && ri.Entry.Kind == catalog.KindBase && c.O.methodEnabled("indexnl") {
-		add(c.indexNLCand(outer, ri, preds, outerCols, innerCols, rows, outStats, combined, rels, ext))
+	if keyed && ri.Entry.Kind == catalog.KindBase && c.O.methodEnabled("indexnl") {
+		add(p.indexNLJoin(ext))
 	}
-	if len(outerCols) > 0 && ri.Entry.Kind == catalog.KindRemote && c.O.methodEnabled("fetchmatches") {
-		add(c.fetchMatchesCand(outer, ri, preds, outerCols, innerCols, rows, outStats, combined, rels, ext))
+	if keyed && ri.Entry.Kind == catalog.KindRemote && c.O.methodEnabled("fetchmatches") {
+		add(p.fetchMatches(ext))
 	}
 	if ri.Entry.Kind == catalog.KindFunc && (c.O.methodEnabled("funcprobe") || c.O.methodEnabled("funcprobememo")) {
-		ns, err := c.funcProbeCands(outer, ri, preds, outerCols, innerCols, rows, outStats, combined, rels, ext)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range ns {
-			add(n)
-		}
+		out = p.funcProbes(ext, out)
 	}
-	return cands, nil
+	return out
 }
 
-func keyDetail(c *Ctx, outerCols, innerCols []int) string {
-	s := ""
+// keyDetail renders equi pairs as "E.did=D.did, ...".
+func (c *Ctx) keyDetail(outerCols, innerCols []int) string {
+	var b strings.Builder
 	for i := range outerCols {
 		if i > 0 {
-			s += ", "
+			b.WriteString(", ")
 		}
-		s += fmt.Sprintf("%s=%s",
-			c.Layout.Schema.Col(outerCols[i]).QualifiedName(),
-			c.Layout.Schema.Col(innerCols[i]).QualifiedName())
+		b.WriteString(c.Layout.Schema.Col(outerCols[i]).QualifiedName())
+		b.WriteByte('=')
+		b.WriteString(c.Layout.Schema.Col(innerCols[i]).QualifiedName())
 	}
-	return s
+	return b.String()
 }
 
-func (c *Ctx) hashJoinCand(outer *plan.Node, ri *RelInfo, outerCols, innerCols []int, residual []*PredInfo, rows float64, outStats *stats.RelStats, combined []int, rels queryRelSet, ord plan.Ordering) *plan.Node {
-	a := ri.Access
-	outerPos, ok := OuterKeyPositions(outer, outerCols)
-	if !ok {
-		return nil
-	}
-	innerPos, ok := OuterKeyPositions(a, innerCols)
-	if !ok {
-		return nil
+// keyPositions is OuterKeyPositions for columns the cheap phase already
+// found available.
+func keyPositions(n *plan.Node, cols []int) []int {
+	pos, _ := OuterKeyPositions(n, cols)
+	return pos
+}
+
+func (p *JoinPair) hashJoin(ord plan.Ordering) (Candidate, bool) {
+	outer, a := p.Outer, p.Ctx.Rels[p.Inner].Access
+	if !KeysAvailable(outer, p.OuterCols) || !KeysAvailable(a, p.InnerCols) {
+		return Candidate{}, false
 	}
 	est := outer.Est.Plus(a.Est)
-	est.CPUTuples += a.Rows + outer.Rows + rows
-	res := ResidualExpr(residual, combined)
-	outerMk, innerMk := outer.Make, a.Make
-	hint := int(a.Rows + 0.5) // pre-size the build table from the estimate
-	dop := c.O.DOP()
-	parallel := 0
-	if dop > 1 {
-		parallel = dop
-	}
-	return plan.NewNode(&plan.Node{
-		Kind:      "HashJoin",
-		Detail:    keyDetail(c, outerCols, innerCols),
-		Children:  []*plan.Node{outer, a},
-		Est:       est,
-		Rows:      rows,
-		Stats:     outStats,
-		OutSchema: outer.OutSchema.Concat(a.OutSchema),
-		ColMap:    combined,
-		Rels:      rels,
-		Ordering:  ord,
-		Parallel:  parallel,
-		Make: func() exec.Operator {
-			// The build side is a materialization point: guard it so an
-			// input exceeding the estimate by the replan ratio aborts
-			// into mid-run re-optimization instead of building a table
-			// the optimizer never costed. Disarmed guards are invisible.
-			build := exec.NewCardGuard(innerMk(), a.Rows, "HashJoin build", a)
-			// The partitioned parallel path charges the same units as the
-			// serial one and preserves probe order, so the estimate and
-			// ordering above hold for both.
+	est.CPUTuples += a.Rows + outer.Rows + p.Rows
+	return Candidate{
+		Kind: "HashJoin", Est: est, Ordering: ord,
+		Detail: func() string { return p.Ctx.keyDetail(p.OuterCols, p.InnerCols) },
+		Build: func(n *plan.Node) {
+			p.Shape(n, outer, a)
+			outerPos, innerPos := keyPositions(outer, p.OuterCols), keyPositions(a, p.InnerCols)
+			res := ResidualExpr(p.Residual, p.ColMap())
+			outerMk, innerMk := outer.Make, a.Make
+			hint := int(a.Rows + 0.5) // pre-size the build table from the estimate
+			dop := p.Ctx.O.DOP()
 			if dop > 1 {
-				j := exec.NewParallelHashJoinProbeFirst(build, outerMk(), innerPos, outerPos, res, dop)
+				n.Parallel = dop
+			}
+			n.Make = func() exec.Operator {
+				// The build side is a materialization point: guard it so an
+				// input exceeding the estimate by the replan ratio aborts
+				// into mid-run re-optimization instead of building a table
+				// the optimizer never costed. Disarmed guards are invisible.
+				build := exec.NewCardGuard(innerMk(), a.Rows, "HashJoin build", a)
+				// The partitioned parallel path charges the same units as the
+				// serial one and preserves probe order, so the estimate and
+				// ordering above hold for both.
+				if dop > 1 {
+					j := exec.NewParallelHashJoinProbeFirst(build, outerMk(), innerPos, outerPos, res, dop)
+					j.BuildSizeHint = hint
+					return j
+				}
+				j := exec.NewHashJoinProbeFirst(build, outerMk(), innerPos, outerPos, res)
 				j.BuildSizeHint = hint
 				return j
 			}
-			j := exec.NewHashJoinProbeFirst(build, outerMk(), innerPos, outerPos, res)
-			j.BuildSizeHint = hint
-			return j
 		},
-	})
+	}, true
 }
 
-func (c *Ctx) mergeJoinCand(outer *plan.Node, ri *RelInfo, outerCols, innerCols []int, residual []*PredInfo, rows float64, outStats *stats.RelStats, combined []int, rels queryRelSet) *plan.Node {
-	a := ri.Access
+func (p *JoinPair) mergeJoin() (Candidate, bool) {
+	outer, a := p.Outer, p.Ctx.Rels[p.Inner].Access
 	// When the outer's retained ordering already covers the merge keys
 	// ascending (in some pair permutation), the outer arrives sorted:
 	// drop its sort from both the cost formula and the operator tree.
-	oc, ic := outerCols, innerCols
+	oc, ic := p.OuterCols, p.InnerCols
 	presorted := false
-	if c.O.orderAware() {
-		oc, ic, presorted = reorderPairsForPresorted(outer.Ordering, outerCols, innerCols)
+	if p.Ctx.O.orderAware() {
+		oc, ic, presorted = reorderPairsForPresorted(outer.Ordering, oc, ic)
 	}
-	outerPos, ok := OuterKeyPositions(outer, oc)
-	if !ok {
-		return nil
-	}
-	innerPos, ok := OuterKeyPositions(a, ic)
-	if !ok {
-		return nil
+	if !KeysAvailable(outer, oc) || !KeysAvailable(a, ic) {
+		return Candidate{}, false
 	}
 	est := outer.Est.Plus(a.Est)
-	est.CPUTuples += a.Rows*lg2(a.Rows) + 2*(outer.Rows+a.Rows) + rows
+	est.CPUTuples += a.Rows*lg2(a.Rows) + 2*(outer.Rows+a.Rows) + p.Rows
 	if !presorted {
 		est.CPUTuples += outer.Rows * lg2(outer.Rows)
 	}
-	res := ResidualExpr(residual, combined)
-	outerMk, innerMk := outer.Make, a.Make
-	detail := keyDetail(c, oc, ic)
-	if presorted {
-		detail += " outer presorted"
-	}
-	pre := presorted
-	return plan.NewNode(&plan.Node{
-		Kind:      "MergeJoin",
-		Detail:    detail,
-		Children:  []*plan.Node{outer, a},
-		Est:       est,
-		Rows:      rows,
-		Stats:     outStats,
-		OutSchema: outer.OutSchema.Concat(a.OutSchema),
-		ColMap:    combined,
-		Rels:      rels,
-		Ordering:  mergeOutputOrdering(oc, ic),
-		Make: func() exec.Operator {
-			return exec.NewMergeJoinPresorted(outerMk(), innerMk(), outerPos, innerPos, res, pre, false)
+	return Candidate{
+		Kind: "MergeJoin", Est: est, Ordering: mergeOutputOrdering(oc, ic),
+		Detail: func() string {
+			if presorted {
+				return p.Ctx.keyDetail(oc, ic) + " outer presorted"
+			}
+			return p.Ctx.keyDetail(oc, ic)
 		},
-	})
+		Build: func(n *plan.Node) {
+			p.Shape(n, outer, a)
+			outerPos, innerPos := keyPositions(outer, oc), keyPositions(a, ic)
+			res := ResidualExpr(p.Residual, p.ColMap())
+			outerMk, innerMk := outer.Make, a.Make
+			n.Make = func() exec.Operator {
+				return exec.NewMergeJoinPresorted(outerMk(), innerMk(), outerPos, innerPos, res, presorted, false)
+			}
+		},
+	}, true
 }
 
-func (c *Ctx) nljCand(outer *plan.Node, ri *RelInfo, preds []*PredInfo, rows float64, outStats *stats.RelStats, combined []int, rels queryRelSet, ord plan.Ordering) *plan.Node {
-	a := ri.Access
+func (p *JoinPair) nestedLoopJoin(ord plan.Ordering) Candidate {
+	outer, a := p.Outer, p.Ctx.Rels[p.Inner].Access
 	pagesA := pagesOf(a.Rows, a.OutSchema.RowWidth())
 	est := outer.Est.Plus(a.Est)
 	est.PageWrites += pagesA
 	est.PageReads += outer.Rows * pagesA
-	est.CPUTuples += 2*outer.Rows*a.Rows + rows
-	pred := ResidualExpr(preds, combined)
-	outerMk, innerMk := outer.Make, a.Make
-	name := c.O.TempName("nlj")
-	return plan.NewNode(&plan.Node{
-		Kind:      "NestedLoopJoin",
-		Detail:    predDetail(pred),
-		Children:  []*plan.Node{outer, a},
-		Est:       est,
-		Rows:      rows,
-		Stats:     outStats,
-		OutSchema: outer.OutSchema.Concat(a.OutSchema),
-		ColMap:    combined,
-		Rels:      rels,
-		Ordering:  ord,
-		Make: func() exec.Operator {
-			return exec.NewNestedLoopJoin(outerMk(), exec.NewMaterialize(innerMk(), name), pred)
+	est.CPUTuples += 2*outer.Rows*a.Rows + p.Rows
+	// The temp name's number is drawn now, whether or not the candidate
+	// is kept, so the optimizer's temp-name sequence does not depend on
+	// pruning; only the string waits for Build.
+	seq := p.Ctx.O.nextTempSeq()
+	return Candidate{
+		Kind: "NestedLoopJoin", Est: est, Ordering: ord,
+		Detail: func() string { return predDetail(ResidualExpr(p.Preds, p.ColMap())) },
+		Build: func(n *plan.Node) {
+			p.Shape(n, outer, a)
+			pred := ResidualExpr(p.Preds, p.ColMap())
+			outerMk, innerMk := outer.Make, a.Make
+			name := tempName("nlj", seq)
+			n.Make = func() exec.Operator {
+				return exec.NewNestedLoopJoin(outerMk(), exec.NewMaterialize(innerMk(), name), pred)
+			}
 		},
-	})
+	}
 }
 
 func predDetail(p expr.Expr) string {
@@ -242,222 +301,220 @@ func predDetail(p expr.Expr) string {
 	return p.String()
 }
 
-// pickIndex selects the index on t covering the largest subset of the
-// (relation-local) equi columns; returns nil if none applies.
-func pickIndex(t *storage.Table, localCols []int) *storage.HashIndex {
+// PickIndex selects the index on the inner (base or remote) relation
+// whose key columns are all among innerCols (block layout), preferring
+// the widest such index, then the fewest expected matches per probe,
+// then the first by name. It returns nil if none applies, and otherwise
+// the index with its expected matches per probe.
+func PickIndex(ri *RelInfo, innerCols []int) (*storage.HashIndex, float64) {
 	var best *storage.HashIndex
-	have := map[int]bool{}
-	for _, c := range localCols {
-		have[c] = true
-	}
-	for _, ix := range t.Indexes() {
-		ok := true
-		for _, c := range ix.Cols() {
-			if !have[c] {
-				ok = false
-				break
-			}
+	var bestK float64
+	for _, ix := range ri.Entry.Table.Indexes() {
+		if !indexCovered(ix, ri.Offset, innerCols) {
+			continue
 		}
-		if ok && (best == nil || len(ix.Cols()) > len(best.Cols())) {
-			best = ix
+		k := matchesPerProbe(ri.RawStats, ix)
+		wider := best == nil || len(ix.Cols()) > len(best.Cols())
+		if wider || len(ix.Cols()) == len(best.Cols()) && k < bestK {
+			best, bestK = ix, k
 		}
 	}
-	return best
+	return best, bestK
 }
 
-// indexJoinShape computes the common pieces of index-driven joins:
-// the chosen index, the outer key positions aligned with the index
-// columns, expected matches per probe and pages per probe, and the
-// residual predicate (everything not covered by the index equality).
-func (c *Ctx) indexJoinShape(outer *plan.Node, ri *RelInfo, preds []*PredInfo, outerCols, innerCols []int, combined []int) (ix *storage.HashIndex, outerPos []int, k, matchPages float64, residual expr.Expr, ok bool) {
-	t := ri.Entry.Table
-	local := make([]int, len(innerCols))
-	for i, col := range innerCols {
-		local[i] = col - ri.Offset
-	}
-	ix = pickIndex(t, local)
-	if ix == nil {
-		return nil, nil, 0, 0, nil, false
-	}
-	// Outer key positions aligned with ix.Cols() order.
-	outerPos = make([]int, len(ix.Cols()))
-	covered := map[int]bool{}
-	for i, ic := range ix.Cols() {
-		found := false
-		for j, lc := range local {
-			if lc == ic {
-				p, okp := OuterKeyPositions(outer, []int{outerCols[j]})
-				if !okp {
-					return nil, nil, 0, 0, nil, false
-				}
-				outerPos[i] = p[0]
-				covered[j] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, nil, 0, 0, nil, false
+// indexCovered reports whether every key column of ix (relation-local)
+// is among the block-layout columns cols of a relation at offset.
+func indexCovered(ix *storage.HashIndex, offset int, cols []int) bool {
+	for _, ic := range ix.Cols() {
+		if indexOf(cols, offset+ic) < 0 {
+			return false
 		}
 	}
-	raw := ri.RawStats
-	distincts := make([]float64, len(ix.Cols()))
-	for i, ic := range ix.Cols() {
-		distincts[i] = raw.DistinctOf(ic)
+	return true
+}
+
+// indexOf returns the position of v in s, or -1.
+func indexOf(s []int, v int) int {
+	for i, x := range s {
+		if x == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// matchesPerProbe is the expected number of rows one probe of ix finds:
+// the relation's rows over the index key's cardinality.
+func matchesPerProbe(raw *stats.RelStats, ix *storage.HashIndex) float64 {
+	var buf [4]float64
+	distincts := buf[:0]
+	for _, ic := range ix.Cols() {
+		distincts = append(distincts, raw.DistinctOf(ic))
 	}
 	keyCard := stats.ProjectionCardinality(raw.Rows, distincts)
 	if keyCard < 1 {
 		keyCard = 1
 	}
-	k = raw.Rows / keyCard
+	return raw.Rows / keyCard
+}
+
+// indexJoin is the priced part of an index-driven join (index
+// nested-loops, fetch-matches): the chosen index, expected matches per
+// probe and pages fetched per probe.
+type indexJoin struct {
+	ix         *storage.HashIndex
+	k          float64
+	matchPages float64
+}
+
+// indexJoinShape prices an index-driven join, or reports false when no
+// index applies or an index key's outer partner is not available.
+func (p *JoinPair) indexJoinShape() (indexJoin, bool) {
+	ri := p.Ctx.Rels[p.Inner]
+	ix, k := PickIndex(ri, p.InnerCols)
+	if ix == nil {
+		return indexJoin{}, false
+	}
+	for _, ic := range ix.Cols() {
+		j := indexOf(p.InnerCols, ri.Offset+ic)
+		if !KeysAvailable(p.Outer, p.OuterCols[j:j+1]) {
+			return indexJoin{}, false
+		}
+	}
+	raw, t := ri.RawStats, ri.Entry.Table
 	var run float64
 	if len(ix.Cols()) > 0 {
 		run = raw.SortedRunOn(ix.Cols()[0])
 	}
-	matchPages = stats.MatchPages(raw.Rows, float64(t.NumPages()), k, t.RowsPerPage(), run)
+	matchPages := stats.MatchPages(raw.Rows, float64(t.NumPages()), k, t.RowsPerPage(), run)
+	return indexJoin{ix: ix, k: k, matchPages: matchPages}, true
+}
 
-	// Residual: all applicable preds except the covered equi pairs, plus
-	// the relation's local predicate (index fetch bypasses the leaf).
+// indexJoinExec builds the executable pieces of an index-driven join:
+// the outer key positions aligned with the index columns, and the
+// residual predicate — every applicable predicate except the equi pairs
+// the index covers, plus the relation's local predicate (an index fetch
+// bypasses the leaf).
+func (p *JoinPair) indexJoinExec(ix *storage.HashIndex) (outerPos []int, residual expr.Expr) {
+	ri := p.Ctx.Rels[p.Inner]
+	covered := make([]bool, len(p.InnerCols))
+	outerPos = make([]int, len(ix.Cols()))
+	for i, ic := range ix.Cols() {
+		j := indexOf(p.InnerCols, ri.Offset+ic)
+		outerPos[i] = p.Outer.ColMap[p.OuterCols[j]]
+		covered[j] = true
+	}
 	var rest []*PredInfo
-	for _, p := range preds {
+	for _, pr := range p.Preds {
 		used := false
-		if p.EquiL >= 0 {
-			for j := range innerCols {
-				if covered[j] && (p.EquiL == innerCols[j] || p.EquiR == innerCols[j]) &&
-					(p.EquiL == outerCols[j] || p.EquiR == outerCols[j]) {
+		if pr.EquiL >= 0 {
+			for j := range p.InnerCols {
+				if covered[j] && (pr.EquiL == p.InnerCols[j] || pr.EquiR == p.InnerCols[j]) &&
+					(pr.EquiL == p.OuterCols[j] || pr.EquiR == p.OuterCols[j]) {
 					used = true
 					break
 				}
 			}
 		}
 		if !used {
-			rest = append(rest, p)
+			rest = append(rest, pr)
 		}
 	}
-	residual = ResidualExpr(rest, combined)
-	if ri.LocalPred != nil {
-		lp := expr.Remap(ri.LocalPred, combined)
-		if residual == nil {
-			residual = lp
-		} else {
-			residual = expr.NewAnd(residual, lp)
-		}
-	}
-	return ix, outerPos, k, matchPages, residual, true
+	return outerPos, p.withLocalPred(ResidualExpr(rest, p.ColMap()))
 }
 
-func (c *Ctx) indexNLCand(outer *plan.Node, ri *RelInfo, preds []*PredInfo, outerCols, innerCols []int, rows float64, outStats *stats.RelStats, combined []int, rels queryRelSet, ord plan.Ordering) *plan.Node {
-	ix, outerPos, k, matchPages, residual, ok := c.indexJoinShape(outer, ri, preds, outerCols, innerCols, combined)
-	if !ok {
-		return nil
+// withLocalPred conjoins the inner relation's local predicate, remapped
+// into the join output, onto residual.
+func (p *JoinPair) withLocalPred(residual expr.Expr) expr.Expr {
+	ri := p.Ctx.Rels[p.Inner]
+	if ri.LocalPred == nil {
+		return residual
 	}
+	lp := expr.Remap(ri.LocalPred, p.ColMap())
+	if residual == nil {
+		return lp
+	}
+	return expr.NewAnd(residual, lp)
+}
+
+func (p *JoinPair) indexNLJoin(ord plan.Ordering) (Candidate, bool) {
+	sh, ok := p.indexJoinShape()
+	if !ok {
+		return Candidate{}, false
+	}
+	outer := p.Outer
 	est := outer.Est
-	est.PageReads += outer.Rows * (1 + matchPages)
-	est.CPUTuples += outer.Rows * (k + 1)
-	outerMk := outer.Make
-	t, alias := ri.Entry.Table, ri.Ref.Binding()
-	return plan.NewNode(&plan.Node{
-		Kind:      "IndexNLJoin",
-		Detail:    fmt.Sprintf("%s via %s", keyDetail(c, outerCols, innerCols), ix.Name()),
-		Children:  []*plan.Node{outer},
-		Est:       est,
-		Rows:      rows,
-		Stats:     outStats,
-		OutSchema: outer.OutSchema.Concat(ri.Schema),
-		ColMap:    combined,
-		Rels:      rels,
-		Ordering:  ord,
-		Make: func() exec.Operator {
-			return exec.NewIndexNLJoin(outerMk(), t, ix, outerPos, residual, alias)
+	est.PageReads += outer.Rows * (1 + sh.matchPages)
+	est.CPUTuples += outer.Rows * (sh.k + 1)
+	return Candidate{
+		Kind: "IndexNLJoin", Est: est, Ordering: ord,
+		Detail: func() string { return p.Ctx.keyDetail(p.OuterCols, p.InnerCols) + " via " + sh.ix.Name() },
+		Build: func(n *plan.Node) {
+			p.Shape(n, outer)
+			outerPos, residual := p.indexJoinExec(sh.ix)
+			outerMk := outer.Make
+			ri := p.Ctx.Rels[p.Inner]
+			t, ix, alias := ri.Entry.Table, sh.ix, ri.Ref.Binding()
+			n.Make = func() exec.Operator {
+				return exec.NewIndexNLJoin(outerMk(), t, ix, outerPos, residual, alias)
+			}
 		},
-	})
+	}, true
 }
 
-func (c *Ctx) fetchMatchesCand(outer *plan.Node, ri *RelInfo, preds []*PredInfo, outerCols, innerCols []int, rows float64, outStats *stats.RelStats, combined []int, rels queryRelSet, ord plan.Ordering) *plan.Node {
-	ix, outerPos, k, matchPages, residual, ok := c.indexJoinShape(outer, ri, preds, outerCols, innerCols, combined)
+func (p *JoinPair) fetchMatches(ord plan.Ordering) (Candidate, bool) {
+	sh, ok := p.indexJoinShape()
 	if !ok {
-		return nil
+		return Candidate{}, false
 	}
+	ri := p.Ctx.Rels[p.Inner]
 	t := ri.Entry.Table
 	keyBytes := 0
-	for _, col := range ix.Cols() {
+	for _, col := range sh.ix.Cols() {
 		keyBytes += t.Schema().Col(col).Type.Width()
 	}
 	rowBytes := t.Schema().RowWidth()
+	outer := p.Outer
 	est := outer.Est
 	est.NetMsgs += outer.Rows
-	est.NetBytes += outer.Rows * (float64(keyBytes) + k*float64(rowBytes))
-	est.PageReads += outer.Rows * (1 + matchPages)
-	est.CPUTuples += outer.Rows * (k + 1)
-	outerMk := outer.Make
-	alias := ri.Ref.Binding()
+	est.NetBytes += outer.Rows * (float64(keyBytes) + sh.k*float64(rowBytes))
+	est.PageReads += outer.Rows * (1 + sh.matchPages)
+	est.CPUTuples += outer.Rows * (sh.k + 1)
 	site := ri.Entry.Site
-	return plan.NewNode(&plan.Node{
-		Kind:      "FetchMatches",
-		Detail:    fmt.Sprintf("%s @site%d", keyDetail(c, outerCols, innerCols), ri.Entry.Site),
-		Children:  []*plan.Node{outer},
-		Est:       est,
-		Rows:      rows,
-		Stats:     outStats,
-		OutSchema: outer.OutSchema.Concat(ri.Schema),
-		ColMap:    combined,
-		Rels:      rels,
-		Ordering:  ord,
-		Make: func() exec.Operator {
-			return dist.NewFetchMatchesJoin(outerMk(), t, ix, outerPos, residual, alias, site)
+	return Candidate{
+		Kind: "FetchMatches", Est: est, Ordering: ord,
+		Detail: func() string { return fmt.Sprintf("%s @site%d", p.Ctx.keyDetail(p.OuterCols, p.InnerCols), site) },
+		Build: func(n *plan.Node) {
+			p.Shape(n, outer)
+			outerPos, residual := p.indexJoinExec(sh.ix)
+			outerMk := outer.Make
+			ix, alias := sh.ix, ri.Ref.Binding()
+			n.Make = func() exec.Operator {
+				return dist.NewFetchMatchesJoin(outerMk(), t, ix, outerPos, residual, alias, site)
+			}
 		},
-	})
+	}, true
 }
 
-func (c *Ctx) funcProbeCands(outer *plan.Node, ri *RelInfo, preds []*PredInfo, outerCols, innerCols []int, rows float64, outStats *stats.RelStats, combined []int, rels queryRelSet, ord plan.Ordering) ([]*plan.Node, error) {
+// funcProbes appends the function-probe candidates (plain and memoized
+// invocation) for a function-backed inner relation to out.
+func (p *JoinPair) funcProbes(ord plan.Ordering, out []Candidate) []Candidate {
+	ri := p.Ctx.Rels[p.Inner]
 	e := ri.Entry
 	// Every argument column must be bound by an equi predicate from the
 	// outer; otherwise the function cannot be invoked at this position.
 	argOuter := make([]int, len(e.ArgCols))
-	used := map[int]bool{}
+	used := make([]bool, len(p.InnerCols))
 	for i, a := range e.ArgCols {
-		want := ri.Offset + a
-		found := false
-		for j, ic := range innerCols {
-			if ic == want {
-				argOuter[i] = outerCols[j]
-				used[j] = true
-				found = true
-				break
-			}
+		j := indexOf(p.InnerCols, ri.Offset+a)
+		if j < 0 {
+			return out
 		}
-		if !found {
-			return nil, nil
-		}
+		argOuter[i] = p.OuterCols[j]
+		used[j] = true
 	}
-	argPos, ok := OuterKeyPositions(outer, argOuter)
-	if !ok {
-		return nil, nil
-	}
-	// Residual: unused equi preds + non-equi preds + local predicates.
-	var rest []*PredInfo
-	for _, p := range preds {
-		isBinding := false
-		if p.EquiL >= 0 {
-			for j := range innerCols {
-				if used[j] && (p.EquiL == innerCols[j] || p.EquiR == innerCols[j]) {
-					isBinding = true
-					break
-				}
-			}
-		}
-		if !isBinding {
-			rest = append(rest, p)
-		}
-	}
-	residual := ResidualExpr(rest, combined)
-	if ri.LocalPred != nil {
-		lp := expr.Remap(ri.LocalPred, combined)
-		if residual == nil {
-			residual = lp
-		} else {
-			residual = expr.NewAnd(residual, lp)
-		}
+	if !KeysAvailable(p.Outer, argOuter) {
+		return out
 	}
 	perCall := e.FnPerCall
 	if perCall <= 0 {
@@ -473,57 +530,61 @@ func (c *Ctx) funcProbeCands(outer *plan.Node, ri *RelInfo, preds []*PredInfo, o
 			perCall = ri.RawStats.Rows / dom
 		}
 	}
-	outerMk := outer.Make
-	alias := ri.Ref.Binding()
-	outSchema := outer.OutSchema.Concat(ri.Schema)
+	outer := p.Outer
+	// build completes a probe-join node; memo selects the memoized
+	// operator. The residual is every unused equi predicate, every
+	// non-equi predicate and the relation's local predicate.
+	build := func(n *plan.Node, memo bool) {
+		p.Shape(n, outer)
+		var rest []*PredInfo
+		for _, pr := range p.Preds {
+			isBinding := false
+			if pr.EquiL >= 0 {
+				for j := range p.InnerCols {
+					if used[j] && (pr.EquiL == p.InnerCols[j] || pr.EquiR == p.InnerCols[j]) {
+						isBinding = true
+						break
+					}
+				}
+			}
+			if !isBinding {
+				rest = append(rest, pr)
+			}
+		}
+		residual := p.withLocalPred(ResidualExpr(rest, p.ColMap()))
+		argPos := keyPositions(outer, argOuter)
+		outerMk, alias := outer.Make, ri.Ref.Binding()
+		n.Make = func() exec.Operator {
+			return udr.NewProbeJoin(outerMk(), e, argPos, residual, memo, alias)
+		}
+	}
 
-	var nodes []*plan.Node
 	// Plain repeated invocation.
-	est := outer.Est
-	est.FnCalls += outer.Rows
-	est.CPUTuples += outer.Rows*(perCall+1) + rows
-	if c.O.methodEnabled("funcprobe") {
-		nodes = append(nodes, plan.NewNode(&plan.Node{
-			Kind:      "FuncProbe",
-			Detail:    fmt.Sprintf("%s(%d args)", e.Name, len(e.ArgCols)),
-			Children:  []*plan.Node{outer},
-			Est:       est,
-			Rows:      rows,
-			Stats:     outStats,
-			OutSchema: outSchema,
-			ColMap:    combined,
-			Rels:      rels,
-			Ordering:  ord,
-			Make: func() exec.Operator {
-				return udr.NewProbeJoin(outerMk(), e, argPos, residual, false, alias)
-			},
-		}))
+	if p.Ctx.O.methodEnabled("funcprobe") {
+		est := outer.Est
+		est.FnCalls += outer.Rows
+		est.CPUTuples += outer.Rows*(perCall+1) + p.Rows
+		out = append(out, Candidate{
+			Kind: "FuncProbe", Est: est, Ordering: ord,
+			Detail: func() string { return fmt.Sprintf("%s(%d args)", e.Name, len(e.ArgCols)) },
+			Build:  func(n *plan.Node) { build(n, false) },
+		})
 	}
 	// Memoized invocation: one call per distinct binding.
-	if c.O.methodEnabled("funcprobememo") {
+	if p.Ctx.O.methodEnabled("funcprobememo") {
 		dcols := make([]float64, len(argOuter))
 		for i, col := range argOuter {
-			dcols[i] = c.DistinctOfBlockCol(outer, col)
+			dcols[i] = p.Ctx.DistinctOfBlockCol(outer, col)
 		}
 		d := stats.ProjectionCardinality(outer.Rows, dcols)
-		estM := outer.Est
-		estM.FnCalls += d
-		estM.CPUTuples += outer.Rows + d*perCall + outer.Rows*perCall + rows
-		nodes = append(nodes, plan.NewNode(&plan.Node{
-			Kind:      "FuncProbeMemo",
-			Detail:    fmt.Sprintf("%s(%d args), ~%.0f distinct", e.Name, len(e.ArgCols), d),
-			Children:  []*plan.Node{outer},
-			Est:       estM,
-			Rows:      rows,
-			Stats:     outStats,
-			OutSchema: outSchema,
-			ColMap:    combined,
-			Rels:      rels,
-			Ordering:  ord,
-			Make: func() exec.Operator {
-				return udr.NewProbeJoin(outerMk(), e, argPos, residual, true, alias)
-			},
-		}))
+		est := outer.Est
+		est.FnCalls += d
+		est.CPUTuples += outer.Rows + d*perCall + outer.Rows*perCall + p.Rows
+		out = append(out, Candidate{
+			Kind: "FuncProbeMemo", Est: est, Ordering: ord,
+			Detail: func() string { return fmt.Sprintf("%s(%d args), ~%.0f distinct", e.Name, len(e.ArgCols), d) },
+			Build:  func(n *plan.Node) { build(n, true) },
+		})
 	}
-	return nodes, nil
+	return out
 }

@@ -21,14 +21,18 @@ import (
 )
 
 // JoinMethod is a pluggable join algorithm the DP loop consults at every
-// join step. Candidates returns zero or more complete plans for joining
-// the outer (a plan over some subset of the block's relations) with the
-// inner relation (an ordinal into ctx.Rels). Returned nodes must follow
-// the convention that their output is the outer's columns followed by
-// the inner relation's columns.
+// join step. Candidates proposes zero or more ways to join the pair's
+// outer plan (over some subset of the block's relations) with its inner
+// relation. A candidate carries its kind, estimate and output ordering —
+// the inputs of the memo's dominance rule — plus a Build function the
+// optimizer calls only if the memo keeps the candidate; anything that
+// can fail, or that must happen for every candidate (trace events,
+// metrics, temp names), belongs in Candidates itself. A built node's
+// output is the outer's columns followed by the inner relation's
+// (JoinPair.Shape lays it out).
 type JoinMethod interface {
 	Name() string
-	Candidates(ctx *Ctx, outer *plan.Node, inner int) ([]*plan.Node, error)
+	Candidates(p *JoinPair) ([]Candidate, error)
 }
 
 // Metrics instruments one optimizer (cumulative across invocations).
@@ -129,10 +133,15 @@ func (o *Optimizer) InvalidateCaches() {
 }
 
 // TempName returns a unique name for transient catalog entries.
-func (o *Optimizer) TempName(prefix string) string {
+func (o *Optimizer) TempName(prefix string) string { return tempName(prefix, o.nextTempSeq()) }
+
+// nextTempSeq draws the number of the next temp name.
+func (o *Optimizer) nextTempSeq() int {
 	o.tempSeq++
-	return fmt.Sprintf("__%s_%d", prefix, o.tempSeq)
+	return o.tempSeq
 }
+
+func tempName(prefix string, seq int) string { return fmt.Sprintf("__%s_%d", prefix, seq) }
 
 // DOP returns the effective degree of parallelism (at least 1).
 func (o *Optimizer) DOP() int {

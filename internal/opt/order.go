@@ -54,6 +54,37 @@ func (c *Ctx) interestingPrefix(ord plan.Ordering) plan.Ordering {
 	return p
 }
 
+// deliversProp reports have.Satisfies(c.interestingPrefix(ord)) without
+// building the prefix: it walks ord's keys over the interesting columns,
+// stopping where the prefix would end.
+func (c *Ctx) deliversProp(have, ord plan.Ordering) bool {
+	if len(c.interestingCols) == 0 {
+		return true
+	}
+	for i, k := range ord {
+		if i == maxPropKeys {
+			break
+		}
+		interesting, shared := false, false
+		for _, col := range k.Cols {
+			if c.interestingCols[col] {
+				interesting = true
+				if i < len(have) && have[i].Has(col) {
+					shared = true
+					break
+				}
+			}
+		}
+		if !interesting {
+			break
+		}
+		if !shared || have[i].Desc != k.Desc {
+			return false
+		}
+	}
+	return true
+}
+
 // propName renders a property ordering with the block layout's column
 // names for traces, joining each key's equivalent columns with "=".
 func (c *Ctx) propName(prop plan.Ordering) string {
@@ -114,8 +145,10 @@ func reorderPairsForPresorted(ord plan.Ordering, outerCols, innerCols []int) ([]
 // are value-equal in every output row).
 func mergeOutputOrdering(outerCols, innerCols []int) plan.Ordering {
 	out := make(plan.Ordering, len(outerCols))
+	cols := make([]int, 2*len(outerCols)) // one backing array for every key
 	for i := range outerCols {
-		out[i] = plan.OrderKey{Cols: []int{outerCols[i], innerCols[i]}}
+		cols[2*i], cols[2*i+1] = outerCols[i], innerCols[i]
+		out[i] = plan.OrderKey{Cols: cols[2*i : 2*i+2 : 2*i+2]}
 	}
 	return out
 }

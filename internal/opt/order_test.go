@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math/rand"
 	"testing"
 
 	"filterjoin/internal/cost"
@@ -251,5 +252,42 @@ func TestMemoKeepsSecondBestOrderedPlan(t *testing.T) {
 	}
 	if !ordered || !unordered {
 		t.Errorf("full subset should retain ordered and unordered entries, got props %v", sortedProps(tbl))
+	}
+}
+
+// TestDeliversPropMatchesPrefix checks the memo's allocation-free
+// dominance test against its definition, have.Satisfies of the
+// candidate ordering's interesting prefix, over random orderings and
+// interesting-column sets (including none, the memo-off case).
+func TestDeliversPropMatchesPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randOrdering := func() plan.Ordering {
+		ord := make(plan.Ordering, rng.Intn(6))
+		for i := range ord {
+			cols := make([]int, 1+rng.Intn(3))
+			for j := range cols {
+				cols[j] = rng.Intn(8)
+			}
+			ord[i] = plan.OrderKey{Cols: cols, Desc: rng.Intn(4) == 0}
+		}
+		return ord
+	}
+	for trial := 0; trial < 20000; trial++ {
+		c := &Ctx{interestingCols: map[int]bool{}}
+		for col := 0; col < 8; col++ {
+			if rng.Intn(2) == 0 {
+				c.interestingCols[col] = true
+			}
+		}
+		have, ord := randOrdering(), randOrdering()
+		if rng.Intn(3) == 0 {
+			// A plan delivering a prefix of the candidate's own order.
+			have = append(plan.Ordering(nil), ord[:rng.Intn(len(ord)+1)]...)
+		}
+		want := have.Satisfies(c.interestingPrefix(ord))
+		if got := c.deliversProp(have, ord); got != want {
+			t.Fatalf("interesting %v, have %v, candidate %v: deliversProp = %v, Satisfies(prefix) = %v",
+				c.interestingCols, have, ord, got, want)
+		}
 	}
 }

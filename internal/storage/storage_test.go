@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"strings"
 	"testing"
 
 	"filterjoin/internal/schema"
@@ -135,6 +136,25 @@ func TestIndexOn(t *testing.T) {
 	}
 	if len(tb.Indexes()) != 1 {
 		t.Error("Indexes()")
+	}
+}
+
+func TestIndexesInNameOrder(t *testing.T) {
+	tb := NewTable("t", intSchema("a", "b"))
+	for _, name := range []string{"c", "a", "b", "a"} { // "a" twice: rebuilt, not added
+		if _, err := tb.CreateIndex(name, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	for _, ix := range tb.Indexes() {
+		names = append(names, ix.Name())
+	}
+	if got := strings.Join(names, ","); got != "a,b,c" {
+		t.Errorf("Indexes() = %s, want a,b,c", got)
+	}
+	if ix := tb.IndexOn([]int{0}); ix == nil || ix.Name() != "a" {
+		t.Errorf("IndexOn must return the first matching index by name, got %v", ix)
 	}
 }
 

@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 
 	"filterjoin/internal/schema"
 	"filterjoin/internal/value"
@@ -22,7 +23,9 @@ type Table struct {
 	schema      *schema.Schema
 	rows        []value.Row
 	rowsPerPage int
-	indexes     map[string]*HashIndex
+	// indexes is sorted by name and replaced, never modified in place,
+	// when an index is added, so a slice Indexes returned stays valid.
+	indexes []*HashIndex
 }
 
 // NewTable creates an empty table with the given name and schema.
@@ -35,7 +38,6 @@ func NewTable(name string, s *schema.Schema) *Table {
 		name:        name,
 		schema:      s,
 		rowsPerPage: rpp,
-		indexes:     map[string]*HashIndex{},
 	}
 }
 
@@ -143,15 +145,30 @@ func (t *Table) CreateIndex(name string, cols []int) (*HashIndex, error) {
 	for i, r := range t.rows {
 		ix.add(i, r)
 	}
-	t.indexes[name] = ix
+	next := make([]*HashIndex, 0, len(t.indexes)+1)
+	for _, old := range t.indexes {
+		if old.Name() != name { // rebuilding replaces the old index
+			next = append(next, old)
+		}
+	}
+	next = append(next, ix)
+	sort.Slice(next, func(a, b int) bool { return next[a].Name() < next[b].Name() })
+	t.indexes = next
 	return ix, nil
 }
 
 // Index returns the named index, or nil.
-func (t *Table) Index(name string) *HashIndex { return t.indexes[name] }
+func (t *Table) Index(name string) *HashIndex {
+	for _, ix := range t.indexes {
+		if ix.Name() == name {
+			return ix
+		}
+	}
+	return nil
+}
 
-// IndexOn returns any index whose key columns exactly cover cols (order
-// insensitive), or nil.
+// IndexOn returns the first index by name whose key columns exactly
+// cover cols (order insensitive), or nil.
 func (t *Table) IndexOn(cols []int) *HashIndex {
 	for _, ix := range t.indexes {
 		if sameColSet(ix.cols, cols) {
@@ -161,14 +178,9 @@ func (t *Table) IndexOn(cols []int) *HashIndex {
 	return nil
 }
 
-// Indexes returns all indexes on the table.
-func (t *Table) Indexes() []*HashIndex {
-	out := make([]*HashIndex, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		out = append(out, ix)
-	}
-	return out
-}
+// Indexes returns all indexes on the table in name order. The slice is
+// shared: the caller must not modify it.
+func (t *Table) Indexes() []*HashIndex { return t.indexes }
 
 func sameColSet(a, b []int) bool {
 	if len(a) != len(b) {
