@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	filterjoin "filterjoin"
-	"filterjoin/internal/cost"
 	"filterjoin/internal/plan"
 )
 
@@ -46,57 +45,12 @@ func adaptiveDB(t *testing.T, cfg filterjoin.Config) *filterjoin.DB {
 	return db
 }
 
-// The ORDER BY matters for the replan tests: the Sort above the join is
-// a guarded materialization point fed by the misestimated stream (the
-// correlated filter's output), while the hash join's build side (Small)
-// is estimated accurately and never trips its own guard.
+// correlatedQuery joins the misestimated stream (the correlated filter's
+// output) against Small, whose estimate is accurate.
 const correlatedQuery = `
 	SELECT B.id, S.v FROM Big B, Small S
 	WHERE B.g = S.g AND B.a = 5 AND B.b = 5
 	ORDER BY B.id`
-
-// Mid-run replanning: the materialization guard must abandon the
-// misestimated plan, the rerun must produce exactly the static engine's
-// rows, and the replan must be charged on the measured counter.
-func TestAdaptiveReplanMidRun(t *testing.T) {
-	static := adaptiveDB(t, filterjoin.Config{})
-	want, err := static.Query(correlatedQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Cost.Replans != 0 {
-		t.Fatalf("static engine charged Replans = %d, want 0", want.Cost.Replans)
-	}
-
-	db := adaptiveDB(t, filterjoin.Config{AdaptiveReplan: true, ReplanRatio: 5})
-	res, err := db.Query(correlatedQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost.Replans == 0 {
-		t.Fatalf("10x-misestimated build did not trigger a replan (cost %s)", res.Cost.String())
-	}
-	if res.ReplannedFrom == nil || res.ReplanInfo == nil {
-		t.Fatal("result does not report the replan")
-	}
-	if res.ReplanInfo.Rows <= 0 || res.ReplanInfo.Est <= 0 {
-		t.Fatalf("ReplanInfo not populated: %+v", res.ReplanInfo)
-	}
-	if got, wantRows := fmt.Sprint(sortedRows(res.Rows)), fmt.Sprint(sortedRows(want.Rows)); got != wantRows {
-		t.Fatalf("replanned rows differ from static rows:\n%v\n%v", got, wantRows)
-	}
-
-	out, err := db.ExplainAnalyze(correlatedQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "replan=") {
-		t.Fatalf("EXPLAIN ANALYZE misses the replan banner:\n%s", out)
-	}
-	if !strings.Contains(out, "replan=") || !strings.Contains(res.Cost.String(), "replan=") {
-		t.Fatalf("measured counter should show the replan surcharge: %s", res.Cost.String())
-	}
-}
 
 // Statistics feedback and the plan cache (satellite: refined stats must
 // not leak through the cache): the first run misestimates and is fed
@@ -204,41 +158,9 @@ func TestAdaptiveFeedbackConverges(t *testing.T) {
 	}
 }
 
-// Cost attribution across a replanned run (satellite: no double-counted
-// instrumentation across re-opens): the abandoned plan's operators land
-// in the deferred bucket, the executed plan's operators in the tree, and
-// the two together account for every charged unit except the replan
-// surcharge itself, which — like Fallbacks — is charged at the root, not
-// inside any operator.
-func TestReplanCostConservation(t *testing.T) {
-	db := adaptiveDB(t, filterjoin.Config{AdaptiveReplan: true, ReplanRatio: 5})
-	res, err := db.Query(correlatedQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost.Replans == 0 {
-		t.Fatal("workload did not replan; conservation premise broken")
-	}
-	byNode, deferred, nDeferred := plan.StatsByNode(res.Plan, res.Stats())
-	if nDeferred == 0 {
-		t.Fatal("abandoned plan's instrumentation is missing from the profile")
-	}
-	var sum cost.Counter
-	for _, s := range byNode {
-		sum.Add(s.Self())
-	}
-	sum.Add(deferred)
-	want := res.Cost
-	want.Replans = 0
-	if sum != want {
-		t.Errorf("sum of Self + deferred = %s, want %s (measured %s)",
-			sum.String(), want.String(), res.Cost.String())
-	}
-}
-
-// With both adaptive features off (the default), the engine must be
-// bit-identical to the static engine in rows and counters, across the
-// row and batch execution paths — including the new Replans field.
+// With feedback off (the default), the engine must be bit-identical to
+// the static engine in rows and counters, across the row and batch
+// execution paths.
 func TestAdaptiveDisabledBitIdentical(t *testing.T) {
 	row := adaptiveDB(t, filterjoin.Config{BatchSize: 1})
 	batch := adaptiveDB(t, filterjoin.Config{BatchSize: 1024})
@@ -259,12 +181,108 @@ func TestAdaptiveDisabledBitIdentical(t *testing.T) {
 		if r1.Cost != r2.Cost {
 			t.Errorf("query %q: row counter %s != batch counter %s", q, r1.Cost.String(), r2.Cost.String())
 		}
-		if r1.Cost.Replans != 0 || r2.Cost.Replans != 0 {
-			t.Errorf("query %q: disarmed engines charged replans (%d, %d)",
-				q, r1.Cost.Replans, r2.Cost.Replans)
-		}
 		if got, want := fmt.Sprint(sortedRows(r1.Rows)), fmt.Sprint(sortedRows(r2.Rows)); got != want {
 			t.Errorf("query %q: row/batch results differ", q)
 		}
+	}
+}
+
+// skewedDB builds a single-column skew the histogram cannot see: half
+// of Skew's 4,000 rows have a = 7, the other half spread over the odd
+// values below 400, so a = 7 matches 2,010 rows against an estimate of
+// 510.
+func skewedDB(t *testing.T, cfg filterjoin.Config) *filterjoin.DB {
+	t.Helper()
+	db := filterjoin.Open(cfg)
+	var b strings.Builder
+	b.WriteString("CREATE TABLE Skew (id int, a int); INSERT INTO Skew VALUES ")
+	for i := 0; i < 4000; i++ {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		a := i % 400
+		if i%2 == 0 {
+			a = 7
+		}
+		fmt.Fprintf(&b, "(%d,%d)", i, a)
+	}
+	b.WriteString(";")
+	if err := db.ExecScript(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// skewEstimate returns the planned row count of p's scan of Skew.
+func skewEstimate(t *testing.T, p *plan.Node) float64 {
+	t.Helper()
+	var leaf *plan.Node
+	p.Walk(func(n *plan.Node) {
+		if n.Source == "Skew" {
+			leaf = n
+		}
+	})
+	if leaf == nil {
+		t.Fatal("plan has no Skew leaf with feedback provenance")
+	}
+	return leaf.Rows
+}
+
+// Statistics feedback on a single column-vs-constant predicate, with the
+// column on either side: the histogram-refinement path. Run 1
+// misestimates and is fed back; run 2 must re-plan within 2x of the
+// truth. The mirrored predicate (same rows, operands swapped) shares no
+// fingerprint with the fed one, so it reads the refined histogram alone:
+// its estimate must move closer to the truth than run 1's was, which
+// fails if the refinement records the wrong operator for a swapped
+// comparison.
+func TestAdaptiveFeedbackRefinesHistogram(t *testing.T) {
+	for _, tc := range []struct{ fed, mirror string }{
+		{"S.a = 7", "7 = S.a"},
+		{"7 = S.a", "S.a = 7"},
+		{"7 > S.a", "S.a < 7"},
+		{"7 <= S.a", "S.a >= 7"},
+	} {
+		t.Run(tc.fed, func(t *testing.T) {
+			db := skewedDB(t, filterjoin.Config{AdaptiveFeedback: true})
+			eng := db.Engine()
+			q := "SELECT S.id FROM Skew S WHERE " + tc.fed
+
+			epoch0 := eng.Epoch()
+			r1, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			act := float64(len(r1.Rows))
+			est1 := skewEstimate(t, r1.Plan)
+			err1, off := plan.Misestimate(est1, act, 2)
+			if !off {
+				t.Fatalf("run 1 estimate %.0f is within 2x of %.0f actual: nothing to feed back", est1, act)
+			}
+			if eng.Epoch() == epoch0 {
+				t.Fatal("misestimated run did not bump the epoch")
+			}
+
+			r2, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r2.CacheState != "miss" {
+				t.Fatalf("run after feedback CacheState = %q, want miss", r2.CacheState)
+			}
+			if est2 := skewEstimate(t, r2.Plan); est2 < act/2 || est2 > act*2 {
+				t.Fatalf("run 2 estimate %.0f rows, want within 2x of %.0f actual", est2, act)
+			}
+
+			p, err := db.Plan("SELECT S.id FROM Skew S WHERE " + tc.mirror)
+			if err != nil {
+				t.Fatal(err)
+			}
+			estM := skewEstimate(t, p)
+			if errM, _ := plan.Misestimate(estM, act, 2); errM >= err1 {
+				t.Fatalf("mirrored %q estimates %.0f rows (%.1fx off), no closer to %.0f actual than run 1's %.0f (%.1fx off)",
+					tc.mirror, estM, errM, act, est1, err1)
+			}
+		})
 	}
 }

@@ -567,8 +567,6 @@ func (m *Method) candidate(
 				entry:          e,
 				choice:         ch,
 				outerMake:      outer.Make,
-				outerRows:      outer.Rows,
-				outerNode:      outer,
 				alias:          ri.Ref.Binding(),
 				outerFilterPos: outerFilterPos,
 				outerAllPos:    outerAllPos,
@@ -585,7 +583,6 @@ func (m *Method) candidate(
 			}
 			if prefix {
 				op.filterMake = prod.Make
-				op.filterRows = prod.Rows
 			}
 			n.Make = op.make
 			n.Extra = ch

@@ -27,21 +27,19 @@ type Narrower interface {
 }
 
 // narrowChild asks child to build only the columns that mark flags. It
-// looks through the layout-preserving shims (Instrumented, CardGuard) to
-// the operator that builds the rows; mark fills need, indexed over that
-// operator's layout, and reports false when it cannot name every column
-// it reads. The result is the position map of Narrower.Narrow, nil when
-// the child keeps its layout. Its callers are the consumers that read a
-// known column subset: Project, GroupBy, StreamGroupBy and the key-set
-// build. Operators that read every column — Distinct, Sort and the root
-// Drain — never call it.
+// looks through the layout-preserving Instrumented shim to the operator
+// that builds the rows; mark fills need, indexed over that operator's
+// layout, and reports false when it cannot name every column it reads.
+// The result is the position map of Narrower.Narrow, nil when the child
+// keeps its layout. Its callers are the consumers that read a known
+// column subset: Project, GroupBy, StreamGroupBy and the key-set build.
+// Operators that read every column — Distinct, Sort and the root Drain
+// — never call it.
 func narrowChild(child Operator, mark func(need []bool) bool) []int {
 	for {
 		switch s := child.(type) {
 		case *Instrumented:
 			child = s.Op
-		case *CardGuard:
-			child = s.Child
 		case Narrower:
 			need := make([]bool, s.Schema().Len())
 			if !mark(need) {

@@ -169,8 +169,8 @@ func TestNarrowedTreesMatchFull(t *testing.T) {
 						if !narrow {
 							child = opaque{join}
 						} else if (ji+ci)%2 == 1 {
-							// Narrowing looks through the layout-preserving shims.
-							child = NewCardGuard(NewInstrumented(join, j.name, nil), 1, "test", nil)
+							// Narrowing looks through the layout-preserving shim.
+							child = NewInstrumented(join, j.name, nil)
 						}
 						var op Operator = c.mk(child)
 						if limit > 0 {

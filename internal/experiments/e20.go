@@ -8,26 +8,23 @@ import (
 	filterjoin "filterjoin"
 )
 
-// E20 measures adaptive re-optimization (DESIGN.md §15) on an
-// adversarial correlated workload: Emp.a and Emp.b are always equal, so
-// the independence assumption underestimates sel(a=K AND b=K) by 100x
+// E20 measures statistics feedback (DESIGN.md §15) on an adversarial
+// correlated workload: Emp.a and Emp.b are always equal, so the
+// independence assumption underestimates sel(a=K AND b=K) by 100x
 // (0.01*0.01 vs the true 0.01). Dept is large enough that hashing it
 // costs hundreds of page reads, so the static optimizer — sizing the
 // probe side at a handful of rows — picks index nested loops into
 // Dept's did index; the true 100x row count makes that plan pay a page
 // fetch per probe and lose to the hash join it rejected. The experiment
-// drives the same query through three engines:
+// drives the same query through two engines:
 //
-//   static    — adaptive features off: the misestimated plan, every run.
-//   replan    — AdaptiveReplan: the Sort guard aborts the run mid-way
-//               and the remainder re-optimizes with observed counts.
+//   static    — feedback off: the misestimated plan, every run.
 //   feedback  — AdaptiveFeedback: run 1 feeds actuals back into the
 //               catalog stats (epoch bump), run 2 plans from truth.
 //
-// Hard invariants: all modes produce identical rows; the feedback
-// engine's second run beats the static plan's measured cost; the replan
-// run charges Replans >= 1; and with both features off the row and
-// batch engines remain counter-bit-identical (including Replans).
+// Hard invariants: both modes produce identical rows; the feedback
+// engine's second run beats the static plan's measured cost; and with
+// feedback off the row and batch engines remain counter-bit-identical.
 //
 // Knobs (for CI smoke runs): FILTERJOIN_E20_ROWS sets the Emp row count
 // (default 40000), FILTERJOIN_E20_DEPTS the Dept row count (default
@@ -82,21 +79,20 @@ func e20Run(db *filterjoin.DB) (*filterjoin.Result, float64, time.Duration, erro
 	return res, db.TotalCost(res), time.Since(start), nil
 }
 
-// E20Adaptive runs the three modes and checks the adaptive contracts.
+// E20Adaptive runs both modes and checks the feedback contracts.
 func E20Adaptive() (*Report, error) {
 	nRows := e18Env("FILTERJOIN_E20_ROWS", 40000)
 	nDepts := e18Env("FILTERJOIN_E20_DEPTS", 100000)
 
 	r := &Report{
 		ID:    "E20",
-		Title: "Adaptive re-optimization: feedback and mid-run replanning on correlated data",
+		Title: "Adaptive re-optimization: statistics feedback on correlated data",
 		Header: []string{"mode", "run", "rows", "cost", "cpu", "pageR",
-			"replans", "cache", "ms"},
+			"cache", "ms"},
 	}
 	addRow := func(mode, run string, res *filterjoin.Result, total float64, wall time.Duration) {
 		r.AddRow(mode, run, d(int64(len(res.Rows))), f2(total),
-			d(res.Cost.CPUTuples), d(res.Cost.PageReads),
-			d(res.Cost.Replans), res.CacheState,
+			d(res.Cost.CPUTuples), d(res.Cost.PageReads), res.CacheState,
 			fmt.Sprintf("%.1f", float64(wall.Microseconds())/1000))
 	}
 
@@ -116,27 +112,6 @@ func E20Adaptive() (*Report, error) {
 	}
 	addRow("static", "1", s1, sCost1, sWall1)
 	addRow("static", "2", s2, sCost, sWall)
-	if s1.Cost.Replans != 0 || s2.Cost.Replans != 0 {
-		return nil, fmt.Errorf("E20: static engine charged replans")
-	}
-
-	// Mid-run replanning: the first run must abandon the misestimated
-	// plan at a materialization guard and still produce the exact rows.
-	replan, err := e20DB(filterjoin.Config{BatchSize: 1024, AdaptiveReplan: true}, nRows, nDepts)
-	if err != nil {
-		return nil, fmt.Errorf("E20 replan: %w", err)
-	}
-	p1, pCost, pWall, err := e20Run(replan)
-	if err != nil {
-		return nil, fmt.Errorf("E20 replan run: %w", err)
-	}
-	addRow("replan", "1", p1, pCost, pWall)
-	if p1.Cost.Replans == 0 {
-		return nil, fmt.Errorf("E20: 100x misestimate did not trigger a mid-run replan")
-	}
-	if p1.ReplannedFrom == nil || p1.ReplanInfo == nil {
-		return nil, fmt.Errorf("E20: replan run does not report ReplannedFrom/ReplanInfo")
-	}
 
 	// Statistics feedback: run 1 absorbs the actuals (epoch bump), run 2
 	// plans from corrected statistics and must beat the static plan.
@@ -165,7 +140,7 @@ func E20Adaptive() (*Report, error) {
 	// Row identity across every mode and run.
 	want := rowSetKey(s1)
 	for name, res := range map[string]*filterjoin.Result{
-		"static run 2": s2, "replan": p1, "feedback run 1": f1, "feedback run 2": f2nd,
+		"static run 2": s2, "feedback run 1": f1, "feedback run 2": f2nd,
 	} {
 		if rowSetKey(res) != want {
 			return nil, fmt.Errorf("E20: %s rows differ from static baseline", name)
@@ -176,19 +151,14 @@ func E20Adaptive() (*Report, error) {
 	if fCost >= sCost {
 		return nil, fmt.Errorf("E20: feedback-informed plan (cost %.2f) does not beat the static plan (%.2f)", fCost, sCost)
 	}
-	r.AddNote("feedback run 2 cost %.2f vs static %.2f (%.1fx cheaper); replan run cost %.2f",
-		fCost, sCost, sCost/fCost, pCost)
+	r.AddNote("feedback run 2 cost %.2f vs static %.2f (%.1fx cheaper)",
+		fCost, sCost, sCost/fCost)
 	if fWall >= sWall1 {
 		r.AddNote("WARNING: feedback run 2 wall %.1fms did not beat static run 1 wall %.1fms (both optimize; warn-only, wall is noisy)",
 			float64(fWall.Microseconds())/1000, float64(sWall1.Microseconds())/1000)
 	}
-	if pCost >= sCost1 {
-		r.AddNote("WARNING: replan run cost %.2f did not beat the static first run %.2f (abandoned work included)",
-			pCost, sCost1)
-	}
-
-	// Counter bit-identity between row and batch engines with the
-	// adaptive features disabled, including the Replans field.
+	// Counter bit-identity between row and batch engines with feedback
+	// disabled.
 	rowEng, err := e20DB(filterjoin.Config{BatchSize: 1}, nRows, nDepts)
 	if err != nil {
 		return nil, fmt.Errorf("E20 parity: %w", err)
@@ -198,10 +168,10 @@ func E20Adaptive() (*Report, error) {
 		return nil, fmt.Errorf("E20 parity run: %w", err)
 	}
 	if rr.Cost != s1.Cost {
-		return nil, fmt.Errorf("E20: row counter %s != batch counter %s with replanning disabled",
+		return nil, fmt.Errorf("E20: row counter %s != batch counter %s with feedback disabled",
 			rr.Cost.String(), s1.Cost.String())
 	}
-	r.AddNote("row/batch counter parity holds with adaptive features off (%s)", rr.Cost.String())
+	r.AddNote("row/batch counter parity holds with feedback off (%s)", rr.Cost.String())
 	return r, nil
 }
 

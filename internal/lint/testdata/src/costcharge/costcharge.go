@@ -344,11 +344,10 @@ func (k *kernelCharging) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) 
 
 func (k *kernelCharging) Close(ctx *exec.Context) error { return k.child.Close(ctx) }
 
-// guardPass mirrors the executor's cardinality guard (exec.CardGuard):
-// a pure pass-through that only counts rows and compares against a
-// threshold. No loop, no row work — counting is free, so the analyzer
-// must not demand a charge (the child it wraps charges for producing
-// the rows).
+// guardPass is a generic pass-through wrapper: it forwards its child's
+// rows, only counting them and aborting past a threshold. No loop, no
+// row work — counting is free, so the analyzer must not demand a charge
+// (the child it wraps charges for producing the rows).
 type guardPass struct {
 	child exec.Operator
 	est   float64
@@ -367,7 +366,7 @@ func (g *guardPass) Next(ctx *exec.Context) (value.Row, bool, error) {
 	if ok {
 		g.n++
 		if float64(g.n) >= g.est*10 {
-			return nil, false, errReplan
+			return nil, false, errThreshold
 		}
 	}
 	return r, ok, err
@@ -375,12 +374,12 @@ func (g *guardPass) Next(ctx *exec.Context) (value.Row, bool, error) {
 
 func (g *guardPass) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
 
-var errReplan = errors.New("replan")
+var errThreshold = errors.New("threshold exceeded")
 
-// guardFilter is the broken variant of a replan guard: it does real row
-// work — draining and discarding the remainder of its child in a loop —
-// without charging the discarded rows to the ledger. A replan path built
-// on it would drop the abandoned plan's counter deltas.
+// guardFilter is the broken variant of the pass-through wrapper: it does
+// real row work — draining and discarding the remainder of its child in
+// a loop — without charging the discarded rows to the ledger, so the
+// drained rows' counter deltas would be lost.
 type guardFilter struct {
 	child exec.Operator
 	est   float64
@@ -402,7 +401,7 @@ func (g *guardFilter) Next(ctx *exec.Context) (value.Row, bool, error) { // want
 					break
 				}
 			}
-			return nil, false, errReplan
+			return nil, false, errThreshold
 		}
 	}
 	return r, ok, err

@@ -209,11 +209,7 @@ func (p *JoinPair) hashJoin(ord plan.Ordering) (Candidate, bool) {
 				n.Parallel = dop
 			}
 			n.Make = func() exec.Operator {
-				// The build side is a materialization point: guard it so an
-				// input exceeding the estimate by the replan ratio aborts
-				// into mid-run re-optimization instead of building a table
-				// the optimizer never costed. Disarmed guards are invisible.
-				build := exec.NewCardGuard(innerMk(), a.Rows, "HashJoin build", a)
+				build := innerMk()
 				// The partitioned parallel path charges the same units as the
 				// serial one and preserves probe order, so the estimate and
 				// ordering above hold for both.

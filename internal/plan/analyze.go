@@ -125,7 +125,7 @@ func formatAnalyze(b *strings.Builder, n *Node, m cost.Model, byNode map[*Node]*
 		}
 		b.WriteString(ord)
 		b.WriteString(")")
-		if r, off := misestimate(n.Rows, perOpen, opts.ErrRatio); off {
+		if r, off := Misestimate(n.Rows, perOpen, opts.ErrRatio); off {
 			fmt.Fprintf(b, "  [rows misestimated x%.1f]", r)
 		}
 	}
@@ -135,21 +135,13 @@ func formatAnalyze(b *strings.Builder, n *Node, m cost.Model, byNode map[*Node]*
 	}
 }
 
-// misestimate reports the est/act cardinality ratio when it exceeds the
-// threshold. Both sides are clamped to >= 1 before dividing: a zero or
-// fractional estimate against a nonzero actual must neither blow the
-// ratio up to Inf/NaN nor mute the flag — "estimated nothing, got n" is
-// exactly an n-fold miss. The same rule is the executor's replan trigger
-// (exec.CardGuard), so the flag and the trigger agree on what a
-// misestimate is.
-func misestimate(est, act, ratio float64) (float64, bool) {
-	return Misestimate(est, act, ratio)
-}
-
 // Misestimate is the shared misestimate rule: the est/act cardinality
-// ratio, and whether it meets the threshold. Exported for the engine's
-// adaptive feedback pass, which must agree with the EXPLAIN ANALYZE flag
-// and the executor's replan trigger on what counts as a miss.
+// ratio, and whether it meets the threshold. Both sides are clamped to
+// >= 1 before dividing: a zero or fractional estimate against a nonzero
+// actual must neither blow the ratio up to Inf/NaN nor mute the flag —
+// "estimated nothing, got n" is exactly an n-fold miss. Exported for the
+// engine's statistics feedback, which must agree with the EXPLAIN
+// ANALYZE flag on what counts as a miss.
 func Misestimate(est, act, ratio float64) (float64, bool) {
 	if est < 1 {
 		est = 1

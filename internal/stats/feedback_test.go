@@ -141,9 +141,8 @@ func TestFeedbackApplyCopyOnWrite(t *testing.T) {
 	}
 }
 
-// Observe's gating: tiny corrections are dropped, lower-bound
-// observations only ever raise, and the version moves exactly when the
-// store changes.
+// Observe's gating: tiny corrections are dropped, larger ones stored,
+// and the version moves exactly when the store changes.
 func TestFeedbackObserveGating(t *testing.T) {
 	fb := NewFeedback()
 	v0 := fb.Version()
@@ -157,14 +156,11 @@ func TestFeedbackObserveGating(t *testing.T) {
 	if fb.Observe(PredObservation{Key: "p", Sel: 0.52, Col: -1}) {
 		t.Error("a <10% correction must be dropped")
 	}
-	if fb.Observe(PredObservation{Key: "p", Sel: 0.2, LowerBound: true, Col: -1}) {
-		t.Error("a lower-bound observation below the stored value must be dropped")
-	}
 	if fb.Version() != v1 {
 		t.Error("dropped observations must not move the version")
 	}
-	if !fb.Observe(PredObservation{Key: "p", Sel: 0.9, LowerBound: true, Col: -1}) {
-		t.Error("a lower-bound observation above the stored value must store")
+	if !fb.Observe(PredObservation{Key: "p", Sel: 0.9, Col: -1}) {
+		t.Error("a >10% correction must store")
 	}
 	fb.Reset()
 	if !fb.Empty() {
